@@ -196,8 +196,7 @@ class BatchEngine:
                  inflight_per_worker: int = 2,
                  rule_name: Optional[str] = None,
                  budget: Optional[ParserBudget] = None,
-                 recover: bool = False, use_tables: bool = True,
-                 cache_dir: Optional[str] = None,
+                 recover: bool = False, cache_dir: Optional[str] = None,
                  rewrite_left_recursion: bool = True, strict: bool = True,
                  parallel: Optional[int] = None,
                  max_pool_rebuilds: int = 1, chaos=None):
@@ -239,13 +238,12 @@ class BatchEngine:
             # worker maps the same page-cache copy of the tables.
             self._config = WorkerConfig(
                 None, name, options, rewrite_left_recursion, strict,
-                cache_dir, None, rule_name, budget, recover, use_tables,
-                chaos=chaos, artifact_key=worker_key)
+                cache_dir, None, rule_name, budget, recover, chaos=chaos,
+                artifact_key=worker_key)
         else:
             self._config = WorkerConfig(
                 grammar_text, name, options, rewrite_left_recursion, strict,
-                cache_dir, payload, rule_name, budget, recover, use_tables,
-                chaos=chaos)
+                cache_dir, payload, rule_name, budget, recover, chaos=chaos)
 
     def _probe_worker_key(self, grammar_text, name, options,
                           rewrite_left_recursion, cache_dir):

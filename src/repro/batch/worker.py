@@ -50,13 +50,13 @@ class WorkerConfig:
 
     __slots__ = ("grammar_text", "name", "options", "rewrite_left_recursion",
                  "strict", "cache_dir", "payload", "artifact_key",
-                 "rule_name", "budget", "recover", "use_tables", "chaos")
+                 "rule_name", "budget", "recover", "chaos")
 
     def __init__(self, grammar_text: Optional[str], name: Optional[str],
                  options, rewrite_left_recursion: bool, strict: bool,
                  cache_dir: Optional[str], payload: Optional[dict],
                  rule_name: Optional[str], budget: Optional[ParserBudget],
-                 recover: bool, use_tables: bool, chaos=None,
+                 recover: bool, chaos=None,
                  artifact_key: Optional[str] = None):
         self.grammar_text = grammar_text
         self.name = name
@@ -69,7 +69,6 @@ class WorkerConfig:
         self.rule_name = rule_name
         self.budget = budget
         self.recover = recover
-        self.use_tables = use_tables
         # Optional ServiceChaos fault policy (robustness testing): kills
         # apply only in pool workers; inline contexts report them as
         # typed WorkerCrashError rows instead of dying.
@@ -181,8 +180,7 @@ class WorkerContext:
                 tokens = max(0, len(stream.tokens()) - 1)  # minus EOF
                 parser = host.parser(stream, options=ParserOptions(
                     profiler=profiler, telemetry=telemetry,
-                    budget=config.budget, recover=config.recover,
-                    use_tables=config.use_tables))
+                    budget=config.budget, recover=config.recover))
                 parser.parse(config.rule_name)
                 errors = len(parser.errors)
                 result = BatchResult(

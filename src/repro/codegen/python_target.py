@@ -195,7 +195,7 @@ class _PythonEmitter:
             return
         decision = self.atn.decision_for_rule[rule.name]
         var = self._fresh("alt")
-        self.w("%s = self._predict(%d, locals())" % (var, decision))
+        self.w("%s = self._adaptive_predict(%d, locals())" % (var, decision))
         self.w("if ctx is not None:")
         self.w("    ctx.alt = %s" % var)
         for i, alt in enumerate(rule.alternatives, start=1):
@@ -249,7 +249,7 @@ class _PythonEmitter:
             return self._emit_block(el)
         if isinstance(el, ast.Optional_):
             decision = self.atn.decision_for_element[id(el)]
-            self.w("if self._predict(%d, locals()) == 1:" % decision)
+            self.w("if self._adaptive_predict(%d, locals()) == 1:" % decision)
             self._indent += 1
             self._emit_sequence([el.element])
             self._indent -= 1
@@ -258,7 +258,7 @@ class _PythonEmitter:
             decision = self.atn.decision_for_element[id(el)]
             self.w("while True:")
             self._indent += 1
-            self.w("if self._predict(%d, locals()) != 1:" % decision)
+            self.w("if self._adaptive_predict(%d, locals()) != 1:" % decision)
             self.w("    break")
             self._emit_sequence([el.element])
             self._indent -= 1
@@ -268,7 +268,7 @@ class _PythonEmitter:
             self.w("while True:")
             self._indent += 1
             self._emit_sequence([el.element])
-            self.w("if self._predict(%d, locals()) != 1:" % decision)
+            self.w("if self._adaptive_predict(%d, locals()) != 1:" % decision)
             self.w("    break")
             self._indent -= 1
             return True
@@ -300,7 +300,7 @@ class _PythonEmitter:
             return self._emit_element(el.alternatives[0])
         decision = self.atn.decision_for_element[id(el)]
         var = self._fresh("alt")
-        self.w("%s = self._predict(%d, locals())" % (var, decision))
+        self.w("%s = self._adaptive_predict(%d, locals())" % (var, decision))
         for i, alt in enumerate(el.alternatives, start=1):
             self.w("%s %s == %d:" % ("if" if i == 1 else "elif", var, i))
             self._indent += 1

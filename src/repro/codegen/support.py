@@ -1,8 +1,11 @@
 """Runtime base class for generated parsers.
 
 Generated modules contain plain recursive-descent methods; everything
-decision-related (DFA walk per Figure 5, synpred speculation with
-memoization, profiling) lives here so the generated code stays readable.
+decision-related stays in the runtime so the generated code stays
+readable.  Prediction (DFA walk per Figure 5, synpred speculation,
+profiling) is :class:`~repro.runtime.predict.Predictor`, the executor
+the interpreter uses too; this module adds rule scaffolding, matching
+and the speculation memo.
 
 Lookahead machines are embedded as the same versioned flat-table dicts
 the artifact cache stores (see :mod:`repro.tables`)::
@@ -15,10 +18,7 @@ the artifact cache stores (see :mod:`repro.tables`)::
 
 On first prediction the class reconstitutes live
 :class:`~repro.tables.lookahead.DecisionTable` objects (once per
-generated class, cached on it) and every ``_predict`` executes them
-through the same derived execution index the interpreted parser uses —
-one dict probe for fixed-k=1 decisions, per-state ``token -> target``
-dicts for deeper lookahead.
+generated class, cached on it), which ``_adaptive_predict`` executes.
 Predicate ``code`` strings are evaluated against the calling rule
 method's locals (passed in by generated code as ``frame``).
 """
@@ -30,9 +30,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.exceptions import (
     FailedPredicateError,
     MismatchedTokenError,
-    NoViableAltError,
     RecognitionError,
 )
+from repro.runtime.predict import Predictor
 from repro.runtime.token import EOF
 from repro.runtime.token_stream import ListTokenStream, TokenStream
 from repro.runtime.trees import RuleNode, TreeBuilder
@@ -40,7 +40,7 @@ from repro.runtime.trees import RuleNode, TreeBuilder
 _MEMO_FAILED = -2
 
 
-class GeneratedParser:
+class GeneratedParser(Predictor):
     """Base for generated parsers.  Subclasses define:
 
     * ``TABLES`` — the flat execution core (pool + one table per decision);
@@ -79,13 +79,12 @@ class GeneratedParser:
 
     def __init__(self, stream: TokenStream, state: Any = None,
                  build_tree: bool = True, memoize: bool = True, profiler=None):
-        self.stream = stream
+        super().__init__(stream, len(self._live_tables()[1]),
+                         profiler=profiler)
         self.state = state
         self.build_tree = build_tree
         self.memoize = memoize
-        self.profiler = profiler
         self.errors: List[RecognitionError] = []
-        self._speculating = 0
         self._memo: Dict[Tuple[str, int], int] = {}
         # Trees are built through the shared TreeBuilder (same span and
         # attach-on-close contract as the interpreted parser).  One
@@ -115,10 +114,6 @@ class GeneratedParser:
 
     # -- rule scaffolding (called by generated code) --------------------------------------
 
-    @property
-    def speculating(self) -> bool:
-        return self._speculating > 0
-
     def _enter(self, rule_name: str) -> Optional[RuleNode]:
         if self.build_tree and not self.speculating:
             node = self._builder.open_rule(rule_name, self.stream.index)
@@ -144,10 +139,7 @@ class GeneratedParser:
             raise MismatchedTokenError(
                 self.TOKEN_NAMES.get(token_type, str(token_type)), token,
                 self.stream.index, rule_name=self._current_rule())
-        self.stream.consume()
-        if self._frames and self._frames[-1][1]:
-            self._builder.add_token(token)
-        return token
+        return self._consume(token)
 
     def _match_any(self, allowed) -> object:
         token = self.stream.lt(1)
@@ -155,8 +147,18 @@ class GeneratedParser:
             raise MismatchedTokenError(
                 "one of %s" % sorted(allowed), token, self.stream.index,
                 rule_name=self._current_rule())
-        self.stream.consume()
-        if self._frames and self._frames[-1][1]:
+        return self._consume(token)
+
+    def _consume(self, token):
+        """Step past a matched token: attach it to the open tree node,
+        or, while speculating, lift the speculation high-water mark
+        (synpred depth is measured from it)."""
+        stream = self.stream
+        stream.consume()
+        if self._speculating:
+            if stream.index > self._deepest_spec_index:
+                self._deepest_spec_index = stream.index
+        elif self._frames and self._frames[-1][1]:
             self._builder.add_token(token)
         return token
 
@@ -193,91 +195,15 @@ class GeneratedParser:
             self._memo[(rule_name, start_index)] = (
                 _MEMO_FAILED if failed else self.stream.index)
 
-    # -- prediction -------------------------------------------------------------------------
+    # -- prediction hooks (the walk itself lives in repro.runtime.predict) ----------------
 
-    def _predict(self, decision: int, frame: Dict[str, Any]) -> int:
-        """Execute the decision's flat table; return the predicted
-        alternative.
+    def _decision_table(self, decision: int):
+        return self._live_tables()[1][decision], False
 
-        Same inner loop as the interpreted parser: the table's derived
-        execution index resolves a fixed-k=1 prediction with one dict
-        probe and walks deeper lookahead through per-state
-        ``token -> target`` dicts.
-        """
-        _pool, tables = self._live_tables()
-        table = tables[decision]
-        la = self.stream.la
-        fast, rows = table.execution_index()
-        accept_alt = table.accept_alt
-        pred_index = table.pred_index
-        offset = 0
-        backtracked = [False]
-        backtrack_depth = [0]
-        try:
-            alt = fast.get(la(1))
-            if alt is not None:
-                offset = 1
-                return alt
-            state = table.start
-            while True:
-                alt = accept_alt[state]
-                if alt > 0:
-                    return alt
-                token_type = la(offset + 1)
-                nxt = rows[state].get(token_type)
-                if nxt is not None:
-                    state = nxt
-                    offset += 1
-                    continue
-                if pred_index[state] != pred_index[state + 1]:
-                    alt = self._evaluate_gates(table, state, frame,
-                                               backtracked, backtrack_depth)
-                    if alt is not None:
-                        return alt
-                raise NoViableAltError(decision, self.stream.lt(offset + 1),
-                                       self.stream.index + offset,
-                                       rule_name=self._current_rule())
-        finally:
-            if self.profiler is not None and not self.speculating:
-                self.profiler.record(decision, max(offset, 1), backtracked[0],
-                                     backtrack_depth[0])
+    def _run_synpred(self, name: str) -> None:
+        getattr(self, "rule_" + name)()
 
-    def _evaluate_gates(self, table, state, frame, backtracked,
-                        backtrack_depth) -> Optional[int]:
-        """Predicate edges in stored (evaluation) order; first pass wins."""
-
-        def eval_leaf(predicate) -> bool:
-            if predicate.is_synpred:
-                backtracked[0] = True
-                ok, depth = self._eval_synpred(predicate.synpred)
-                backtrack_depth[0] = max(backtrack_depth[0], depth)
-                return ok
-            env = {"state": self.state, "parser": self, "stream": self.stream,
-                   "LA": self.stream.la, "LT": self.stream.lt, "TT": self._tt}
-            return bool(eval(predicate.code, env, dict(frame)))
-
-        contexts = table.pool.contexts
-        pred_ctx = table.pred_ctx
-        pred_alt = table.pred_alt
-        for i in range(table.pred_index[state], table.pred_index[state + 1]):
-            c = pred_ctx[i]
-            if c < 0 or contexts[c].evaluate(eval_leaf):
-                return pred_alt[i]
-        return None
-
-    def _eval_synpred(self, name: str) -> Tuple[bool, int]:
-        mark = self.stream.mark()
-        self._speculating += 1
-        try:
-            getattr(self, "rule_" + name)()
-            matched = True
-        except RecognitionError:
-            matched = False
-        finally:
-            depth = self.stream.index - mark
-            self._speculating -= 1
-            self.stream.seek(mark)
-            release = getattr(self.stream, "release", None)
-            if release is not None:
-                release(mark)  # lets streaming streams shrink their window
-        return matched, depth
+    def _eval_predicate(self, predicate, frame: Dict[str, Any]) -> bool:
+        env = {"state": self.state, "parser": self, "stream": self.stream,
+               "LA": self.stream.la, "LT": self.stream.lt, "TT": self._tt}
+        return bool(eval(predicate.code, env, dict(frame)))

@@ -6,12 +6,12 @@ force: every generated sentence is parsed by every available backend and
 the results are compared under a policy that separates *bugs* from
 *known semantic differences*:
 
-* **Tree backends** (interpreter with flat tables, interpreter on the
-  DFA graph, the generated codegen parser, and the strict LL(k) parser
-  when :func:`repro.baselines.llk.llk_viability` admits the grammar)
-  must agree exactly: same accept/reject verdict and, when accepting,
-  identical ``to_spanned_sexpr()`` digests — shape *and* per-node
-  token-index spans (``tree-accept`` / ``tree-digest`` disagreements).
+* **Tree backends** (the interpreter, the generated codegen parser, and
+  the strict LL(k) parser when :func:`repro.baselines.llk.llk_viability`
+  admits the grammar) must agree exactly: same accept/reject verdict
+  and, when accepting, identical ``to_spanned_sexpr()`` digests — shape
+  *and* per-node token-index spans (``tree-accept`` / ``tree-digest``
+  disagreements).
 * **CFG backends** (GLR, Earley) must agree with each other
   (``cfg-accept``); Earley additionally serves as the context-free
   *oracle*: any other backend accepting a sentence the oracle rejects is
@@ -58,9 +58,8 @@ TREE = "tree"
 CFG = "cfg"
 PEG = "peg"
 
-ALL_BACKENDS = ("interp", "interp-graph", "codegen", "llk",
-                "packrat", "glr", "earley")
-_KIND = {"interp": TREE, "interp-graph": TREE, "codegen": TREE, "llk": TREE,
+ALL_BACKENDS = ("interp", "codegen", "llk", "packrat", "glr", "earley")
+_KIND = {"interp": TREE, "codegen": TREE, "llk": TREE,
          "packrat": PEG, "glr": CFG, "earley": CFG}
 
 
@@ -255,7 +254,7 @@ class DifferentialRunner:
     # -- backend construction ----------------------------------------------
 
     def _build_backend(self, name: str, max_k: int):
-        if name in ("interp", "interp-graph"):
+        if name == "interp":
             return None  # the host itself; options built per parse
         if name == "codegen":
             source = generate_python(self.host.analysis)
@@ -299,11 +298,9 @@ class DifferentialRunner:
         error_type = None
         try:
             stream = self.host.token_stream_from_types(token_names)
-            if name in ("interp", "interp-graph"):
-                options = ParserOptions(
-                    use_tables=(name == "interp"),
-                    budget=ParserBudget.defensive(
-                        deadline_seconds=self.deadline))
+            if name == "interp":
+                options = ParserOptions(budget=ParserBudget.defensive(
+                    deadline_seconds=self.deadline))
                 tree = self.host.parse(stream, options=options)
                 accepted, digest = True, tree_digest(tree)
             elif name == "codegen":

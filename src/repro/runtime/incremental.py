@@ -150,8 +150,7 @@ class EditSession:
     """
 
     def __init__(self, host, text: str, rule_name: Optional[str] = None,
-                 recover: bool = True, telemetry=None, memoize: bool = True,
-                 use_tables: bool = True):
+                 recover: bool = True, telemetry=None, memoize: bool = True):
         if host.lexer_spec is None:
             raise GrammarError(
                 "grammar %s has no lexer rules; EditSession needs text input"
@@ -161,7 +160,6 @@ class EditSession:
         self.recover = recover
         self.telemetry = telemetry
         self.memoize = memoize
-        self.use_tables = use_tables
         self.text = text
         self.tree: Optional[RuleNode] = None
         self.errors: list = []
@@ -410,7 +408,6 @@ class EditSession:
 
     def _reparse(self, table: ReuseTable) -> None:
         options = ParserOptions(recover=self.recover, memoize=self.memoize,
-                                use_tables=self.use_tables,
                                 telemetry=self.telemetry, reuse=table)
         parser = LLStarParser(self.host.analysis, self._stream, options)
         self.tree = None

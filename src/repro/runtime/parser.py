@@ -1,12 +1,12 @@
 """The LL(*) parser: an ATN interpreter with DFA-driven prediction.
 
-At every decision point the parser runs the decision's lookahead DFA
-(Figure 5 configuration-change rules): follow token edges while they
-match; on an accept state, predict that alternative.  States carrying
-predicate edges evaluate them in alternative order — a user predicate is
-``eval``-ed against the action environment, a synpred launches a
-speculative parse of its fragment rule (backtracking), and a ``None``
-predicate is the ordered-choice default.
+The interpreter walks each rule's ATN; at every decision point it asks
+:class:`~repro.runtime.predict.Predictor`, the one Figure-5 executor
+shared with generated parsers, to run the decision's lookahead DFA
+table.  This module supplies the interpreter's side of that contract:
+tables come from the analysis records (a degraded decision is rebuilt
+on the fly), synpred fragments run through :meth:`LLStarParser._run_rule`,
+and predicate code is ``eval``-ed against the action environment.
 
 Speculation machinery (Section 4):
 
@@ -22,7 +22,6 @@ Speculation machinery (Section 4):
 
 from __future__ import annotations
 
-import time
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.atn.transitions import (
@@ -38,7 +37,6 @@ from repro.exceptions import (
     BudgetExceededError,
     FailedPredicateError,
     MismatchedTokenError,
-    NoViableAltError,
     RecognitionError,
 )
 from repro.runtime.budget import ParserBudget
@@ -47,6 +45,7 @@ from repro.runtime.errors import (
     DefaultErrorStrategy,
     ErrorStrategy,
 )
+from repro.runtime.predict import Predictor
 from repro.runtime.token import EOF
 from repro.runtime.token_stream import TokenStream
 from repro.runtime.trees import ErrorNode, RuleNode, TokenNode, TreeBuilder
@@ -71,9 +70,6 @@ class ParserOptions:
     ``telemetry``: a :class:`~repro.runtime.telemetry.ParseTelemetry`
     receiving structured events and metrics (prediction outcomes,
     recovery repairs, degradations, speculation spans).
-    ``use_tables``: predict with the flat execution tables
-    (:mod:`repro.tables`); off walks the object-graph DFA directly —
-    the reference implementation the tables are checked against.
     ``reuse``: a :class:`~repro.runtime.incremental.ReuseTable` of
     subtrees from a previous parse of (mostly) the same tokens.  The
     rule-invocation path probes it next to the speculation memo: a hit
@@ -89,8 +85,7 @@ class ParserOptions:
                  error_strategy: Optional[ErrorStrategy] = None,
                  trace=None, recover: bool = False,
                  budget: Optional[ParserBudget] = None,
-                 telemetry=None, use_tables: bool = True,
-                 reuse=None):
+                 telemetry=None, reuse=None):
         self.memoize = memoize
         self.build_tree = build_tree
         self.profiler = profiler
@@ -109,11 +104,10 @@ class ParserOptions:
         self.recover = recover
         self.budget = budget
         self.telemetry = telemetry
-        self.use_tables = use_tables
         self.reuse = reuse
 
 
-class LLStarParser:
+class LLStarParser(Predictor):
     """Interpreted LL(*) parser over an analysed grammar.
 
     Build one per parse (it owns per-parse state: memo table, error
@@ -124,17 +118,17 @@ class LLStarParser:
 
     def __init__(self, analysis, stream: TokenStream,
                  options: Optional[ParserOptions] = None):
+        options = options or ParserOptions()
+        super().__init__(stream, len(analysis.records),
+                         budget=options.budget, profiler=options.profiler,
+                         telemetry=options.telemetry, trace=options.trace)
         self.analysis = analysis
         self.grammar = analysis.grammar
         self.atn = analysis.atn
-        self.stream = stream
-        self.options = options or ParserOptions()
+        self.options = options
         self.vocabulary = self.grammar.vocabulary
         self.errors: List[RecognitionError] = []
-        self._speculating = 0
         self._memo: Dict[Tuple[str, int], int] = {}
-        self._deepest_spec_index = -1
-        self._deepest_spec_error: Optional[RecognitionError] = None
         self._last_recovery_index = -1
         # While True, subsequent errors are cascades of one mistake and
         # are resynced silently; cleared when a token matches for real.
@@ -149,20 +143,12 @@ class LLStarParser:
         # innermost open rule is also where inline and panic-mode
         # repairs attach their ErrorNodes.
         self._builder = TreeBuilder(source=stream.source)
-        # Budget accounting (limits live in options.budget).
-        self._dfa_steps = 0
-        self._synpred_calls = 0
+        # Budget accounting beyond prediction's (limits live in
+        # options.budget).
         self._rule_depth = 0
         self._recovery_attempts: Dict[int, int] = {}
-        self._deadline: Optional[float] = None
         # Structured degradation events (missing DFAs rebuilt on the fly).
         self.degradations: List[Any] = []
-        # Per-decision (table, start, arrays...) rows, unpacked lazily on
-        # first prediction so the hot path pays one list index + tuple
-        # unpack instead of a property call and six attribute fetches.
-        self._table_rows: List[Optional[tuple]] = [None] * len(analysis.records)
-        # Hot-path handle; None keeps every telemetry hook a single check.
-        self._telemetry = self.options.telemetry
         # Incremental-reparse state (see repro.runtime.incremental).
         # ``_look_hwm`` is the highest token index any prediction has
         # examined so far — monotone over the whole parse, so the value
@@ -170,9 +156,8 @@ class LLStarParser:
         # inside the rule.  ``_impure_ops`` counts derivation-affecting
         # side operations (actions, predicates, repairs); a rule whose
         # open/close counts match derived itself purely from tokens.
-        self._reuse = self.options.reuse
+        self._reuse = options.reuse
         self._track_look = self._reuse is not None
-        self._look_hwm = -1
         self._impure_ops = 0
 
     # -- public entry points --------------------------------------------------------
@@ -232,10 +217,6 @@ class LLStarParser:
             self.options.build_tree = saved
 
     # -- core interpreter ---------------------------------------------------------------
-
-    @property
-    def speculating(self) -> bool:
-        return self._speculating > 0
 
     def _run_rule(self, rule_name: str, arg_values: List[Any]) -> Optional[RuleNode]:
         rule = self.grammar.rule(rule_name)
@@ -518,215 +499,18 @@ class LLStarParser:
         self._impure_ops += 1  # a repaired subtree is never reusable
         self._builder.attach(node)
 
-    def _check_deadline(self) -> None:
-        if self._deadline is not None and time.monotonic() > self._deadline:
-            raise BudgetExceededError(
-                "deadline", self.options.budget.deadline_limit,
-                token=self.stream.lt(1), index=self.stream.index)
+    # -- prediction hooks (the walk itself lives in repro.runtime.predict) ----------------
 
-    # -- prediction ------------------------------------------------------------------------
-
-    def _adaptive_predict(self, decision: int, frame: Dict[str, Any]) -> int:
-        """Run the lookahead DFA for ``decision`` (Figure 5 rules).
-
-        Returns the predicted 1-based alternative.  Reports the event to
-        the profiler with the lookahead depth used and any backtracking.
-
-        The default implementation executes the decision's flat
-        :class:`~repro.tables.lookahead.DecisionTable` through its
-        derived execution index: a fixed-k=1 prediction (the common case
-        per the paper's Table 2) is a single dict probe, and deeper
-        walks touch only list indexing and per-state ``token -> target``
-        dicts — no attribute chases, no allocation.
-        ``ParserOptions(use_tables=False)`` selects
-        :meth:`_adaptive_predict_graph`, the object-graph reference walk.
-        """
+    def _decision_table(self, decision: int):
         record = self.analysis.records[decision]
-        if not self.options.use_tables:
-            return self._adaptive_predict_graph(decision, record, frame)
-        degraded = False
-        row = self._table_rows[decision]
-        if row is None:
-            table = record.table
-            if table is None or table.start < 0:
-                self._materialize_dfa(decision, record)
-                table = record.table
-                degraded = True
-            fast, rows = table.execution_index()
-            row = (table, table.start, fast.get, rows, table.accept_alt,
-                   table.pred_index)
-            self._table_rows[decision] = row
-        # Bind everything the hot loop touches to locals once.
-        table, start, fast_get, rows, accept_alt, pred_index = row
-        la = self.stream.la
-        budget = self.options.budget
-        max_steps = budget.max_dfa_steps if budget is not None else None
-        deadline = self._deadline
-        steps = self._dfa_steps  # local counter, written back in finally
-        offset = 0  # tokens of lookahead consumed along DFA edges
-        probed = 0  # deepest la() offset actually examined
-        backtracked = False
-        backtrack_depth = 0
-        used_predicates = False
-        try:
-            # One-probe fast path: start-state edges landing directly on
-            # an accept state (the fixed-k=1 majority).  Step/budget
-            # accounting matches the two loop iterations it replaces.
-            alt = fast_get(la(1))
-            if alt is not None:
-                offset = 1
-                probed = 1
-                steps += 2
-                if max_steps is not None and steps > max_steps:
-                    raise BudgetExceededError(
-                        "dfa steps", max_steps, spent=steps,
-                        token=self.stream.lt(1), index=self.stream.index)
-                if deadline is not None and steps & 63 == 0:
-                    self._check_deadline()
-                return alt
-            probed = 1  # the fast-path miss still examined la(1)
-            state = start
-            while True:
-                steps += 1
-                if max_steps is not None and steps > max_steps:
-                    raise BudgetExceededError(
-                        "dfa steps", max_steps, spent=steps,
-                        token=self.stream.lt(offset + 1),
-                        index=self.stream.index + offset)
-                if deadline is not None and steps & 63 == 0:
-                    self._check_deadline()
-                alt = accept_alt[state]
-                if alt > 0:
-                    return alt
-                token_type = la(offset + 1)
-                if offset >= probed:
-                    probed = offset + 1
-                nxt = rows[state].get(token_type)
-                if nxt is not None:
-                    offset += 1
-                    state = nxt
-                    continue
-                if pred_index[state] != pred_index[state + 1]:
-                    used_predicates = True
-                    # Gates can speculate (nested predictions read the
-                    # shared step counter) — sync it around the call.
-                    self._dfa_steps = steps
-                    alt, backtracked, backtrack_depth = self._evaluate_gates(
-                        table, state, frame)
-                    steps = self._dfa_steps
-                    if alt is not None:
-                        return alt
-                token = self.stream.lt(offset + 1)
-                raise NoViableAltError(decision, token,
-                                       self.stream.index + offset,
-                                       rule_name=record.rule_name)
-        finally:
-            self._dfa_steps = steps
-            if self._track_look and probed:
-                # Tokens [index, index + probed - 1] were examined here
-                # (plus whatever depth speculation reached): lift the
-                # parse-global lookahead high-water mark over them.
-                reach = self.stream.index + max(probed - 1, backtrack_depth)
-                if reach > self._look_hwm:
-                    self._look_hwm = reach
-            depth = max(offset, 1)
-            if self.options.profiler is not None and not self.speculating:
-                self.options.profiler.record(decision, depth, backtracked,
-                                             backtrack_depth)
-            tel = self._telemetry
-            if tel is not None and not self.speculating:
-                tel.record_predict(decision, record.rule_name, depth,
-                                   dfa_hit=not (used_predicates or degraded),
-                                   backtracked=backtracked,
-                                   backtrack_depth=backtrack_depth,
-                                   index=self.stream.index)
-                if used_predicates:
-                    tel.record_fallback(
-                        decision, record.rule_name,
-                        "synpred" if backtracked else "predicates",
-                        self.stream.index)
-                if degraded:
-                    tel.record_fallback(decision, record.rule_name,
-                                        "degraded", self.stream.index)
-            if self.options.trace is not None:
-                self.options.trace.predict(decision, depth, backtracked)
+        table = record.table
+        if table is None or table.start < 0:
+            self._materialize_dfa(decision, record)
+            return record.table, True
+        return table, False
 
-    def _adaptive_predict_graph(self, decision: int, record,
-                                frame: Dict[str, Any]) -> int:
-        """Reference prediction walking the object-graph DFA directly.
-
-        Kept behind ``use_tables=False`` as the semantic baseline the
-        flat tables are differentially tested (and benchmarked) against.
-        """
-        dfa = record.dfa
-        degraded = False
-        if dfa is None or dfa.start is None:
-            dfa = self._materialize_dfa(decision, record)
-            degraded = True
-        state = dfa.start
-        budget = self.options.budget
-        max_steps = budget.max_dfa_steps if budget is not None else None
-        offset = 0  # tokens of lookahead consumed along DFA edges
-        probed = 0  # deepest la() offset actually examined
-        backtracked = False
-        backtrack_depth = 0
-        used_predicates = False
-        try:
-            while True:
-                self._dfa_steps += 1
-                if max_steps is not None and self._dfa_steps > max_steps:
-                    raise BudgetExceededError(
-                        "dfa steps", max_steps, spent=self._dfa_steps,
-                        token=self.stream.lt(offset + 1),
-                        index=self.stream.index + offset)
-                if self._deadline is not None and self._dfa_steps % 64 == 0:
-                    self._check_deadline()
-                if state.is_accept:
-                    return state.predicted_alt
-                token_type = self.stream.la(offset + 1)
-                if offset >= probed:
-                    probed = offset + 1
-                nxt = state.edges.get(token_type)
-                if nxt is not None:
-                    offset += 1
-                    state = nxt
-                    continue
-                if state.predicate_edges:
-                    used_predicates = True
-                    alt, backtracked, backtrack_depth = self._evaluate_predicates(
-                        state, decision, frame)
-                    if alt is not None:
-                        return alt
-                token = self.stream.lt(offset + 1)
-                raise NoViableAltError(decision, token,
-                                       self.stream.index + offset,
-                                       rule_name=record.rule_name)
-        finally:
-            if self._track_look and probed:
-                reach = self.stream.index + max(probed - 1, backtrack_depth)
-                if reach > self._look_hwm:
-                    self._look_hwm = reach
-            depth = max(offset, 1)
-            if self.options.profiler is not None and not self.speculating:
-                self.options.profiler.record(decision, depth, backtracked,
-                                             backtrack_depth)
-            tel = self._telemetry
-            if tel is not None and not self.speculating:
-                tel.record_predict(decision, record.rule_name, depth,
-                                   dfa_hit=not (used_predicates or degraded),
-                                   backtracked=backtracked,
-                                   backtrack_depth=backtrack_depth,
-                                   index=self.stream.index)
-                if used_predicates:
-                    tel.record_fallback(
-                        decision, record.rule_name,
-                        "synpred" if backtracked else "predicates",
-                        self.stream.index)
-                if degraded:
-                    tel.record_fallback(decision, record.rule_name,
-                                        "degraded", self.stream.index)
-            if self.options.trace is not None:
-                self.options.trace.predict(decision, depth, backtracked)
+    def _run_synpred(self, name: str) -> None:
+        self._run_rule(name, [])
 
     def _materialize_dfa(self, decision: int, record):
         """Degraded mode: this decision has no usable lookahead DFA (a
@@ -750,106 +534,6 @@ class LLStarParser:
         if self._telemetry is not None:
             self._telemetry.record_degradation(event)
         return dfa
-
-    def _evaluate_gates(self, table, state: int, frame: Dict[str, Any]):
-        """Flat-table twin of :meth:`_evaluate_predicates`: walk the
-        state's row of the predicate arrays in stored (evaluation) order;
-        gate objects come interned from the table's pool."""
-        stats = {"backtracked": False, "deepest": 0}
-
-        def eval_leaf(predicate) -> bool:
-            if predicate.is_synpred:
-                stats["backtracked"] = True
-                ok, depth = self._eval_synpred(predicate.synpred)
-                stats["deepest"] = max(stats["deepest"], depth)
-                return ok
-            return self._eval_predicate(predicate, frame)
-
-        contexts = table.pool.contexts
-        pred_ctx = table.pred_ctx
-        pred_alt = table.pred_alt
-        for i in range(table.pred_index[state], table.pred_index[state + 1]):
-            c = pred_ctx[i]
-            if c < 0:  # default edge: ordered-choice fallback
-                return pred_alt[i], stats["backtracked"], stats["deepest"]
-            if contexts[c].evaluate(eval_leaf):
-                return pred_alt[i], stats["backtracked"], stats["deepest"]
-        return None, stats["backtracked"], stats["deepest"]
-
-    def _evaluate_predicates(self, state, decision: int, frame: Dict[str, Any]):
-        """Try predicate edges in alternative order; first success wins.
-
-        Each edge carries a hoisted semantic context (AND/OR tree over
-        predicates); synpred leaves evaluate by speculative parsing.
-        """
-        stats = {"backtracked": False, "deepest": 0}
-
-        def eval_leaf(predicate) -> bool:
-            if predicate.is_synpred:
-                stats["backtracked"] = True
-                ok, depth = self._eval_synpred(predicate.synpred)
-                stats["deepest"] = max(stats["deepest"], depth)
-                return ok
-            return self._eval_predicate(predicate, frame)
-
-        for context, alt, _target in state.predicate_edges:
-            if context is None:
-                return alt, stats["backtracked"], stats["deepest"]
-            if context.evaluate(eval_leaf):
-                return alt, stats["backtracked"], stats["deepest"]
-        return None, stats["backtracked"], stats["deepest"]
-
-    def _eval_synpred(self, rule_name: str) -> Tuple[bool, int]:
-        """Speculatively parse the synpred fragment rule.
-
-        Returns (matched, speculation depth in tokens).  The stream is
-        always rewound; actions stay off; failures are memoized.
-        """
-        budget = self.options.budget
-        if budget is not None:
-            self._synpred_calls += 1
-            if (budget.max_synpred_invocations is not None
-                    and self._synpred_calls > budget.max_synpred_invocations):
-                raise BudgetExceededError(
-                    "synpred invocations", budget.max_synpred_invocations,
-                    spent=self._synpred_calls, token=self.stream.lt(1),
-                    index=self.stream.index)
-            if (budget.max_backtrack_depth is not None
-                    and self._speculating + 1 > budget.max_backtrack_depth):
-                raise BudgetExceededError(
-                    "backtrack depth", budget.max_backtrack_depth,
-                    spent=self._speculating + 1, token=self.stream.lt(1),
-                    index=self.stream.index)
-            self._check_deadline()
-        mark = self.stream.mark()
-        self._speculating += 1
-        prev_deepest = self._deepest_spec_index
-        self._deepest_spec_index = mark
-        tel = self._telemetry
-        spec_span = tel.start_span("synpred:" + rule_name) if tel is not None else None
-        matched = False
-        try:
-            self._run_rule(rule_name, [])
-            matched = True
-        except RecognitionError as e:
-            if (self._deepest_spec_error is None
-                    or (e.index or 0) >= (self._deepest_spec_error.index or 0)):
-                self._deepest_spec_error = e
-        finally:
-            depth = max(self._deepest_spec_index, self.stream.index) - mark
-            self._deepest_spec_index = max(prev_deepest, self._deepest_spec_index)
-            self._speculating -= 1
-            if spec_span is not None:
-                tel.end_span(spec_span)
-                tel.record_synpred(rule_name, matched)
-            # The memo table persists for the whole parse (ANTLR policy):
-            # repeated speculation of the same rule at the same position
-            # across decisions is what makes nested backtracking linear.
-            self.stream.seek(mark)
-            release = getattr(self.stream, "release", None)
-            if release is not None:
-                release(mark)  # lets streaming streams shrink their window
-        return matched, depth
 
     # -- embedded host-language code ---------------------------------------------------------
 

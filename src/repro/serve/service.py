@@ -8,9 +8,9 @@ has grown:
 * multi-grammar :class:`~repro.serve.registry.GrammarRegistry` with
   single-flight lazy compiles through the artifact cache;
 * per-request deadline propagation — the client timeout (clamped by a
-  server ceiling) becomes one absolute monotonic deadline stamped at
-  admission and enforced through queue wait, lex, parse, and recovery
-  via :meth:`~repro.runtime.budget.ParserBudget.with_deadline_at`;
+  server ceiling) becomes one absolute deadline on the service clock,
+  stamped at admission and enforced through queue wait, lex, parse, and
+  recovery via :meth:`~repro.runtime.budget.ParserBudget.with_deadline_at`;
 * :class:`~repro.serve.admission.AdmissionController` load shedding
   (429 + ``Retry-After`` under saturation, 503 while draining);
 * a per-grammar :class:`~repro.serve.breaker.CircuitBreaker` that opens
@@ -75,7 +75,6 @@ class ServiceConfig:
                  drain_deadline: float = 10.0,
                  retry_after: float = 1.0,
                  recover_default: bool = True,
-                 use_tables: bool = True,
                  budget: Optional[ParserBudget] = None,
                  cache_dir: Optional[str] = None,
                  max_hosts: Optional[int] = None):
@@ -100,7 +99,6 @@ class ServiceConfig:
         self.drain_deadline = drain_deadline
         self.retry_after = retry_after
         self.recover_default = recover_default
-        self.use_tables = use_tables
         # Base resource limits applied to every request; the per-request
         # absolute deadline is clamped in on top of these.
         self.budget = budget if budget is not None else ParserBudget.defensive(
@@ -374,10 +372,11 @@ class ParseService:
             raise DrainingError("service is draining; try another replica",
                                 retry_after=self.config.retry_after)
         # One absolute deadline for the request's whole life: queue wait,
-        # lex, parse, and recovery all race the same clamped instant.
+        # lex, parse, and recovery all race the same clamped instant.  It
+        # lives on the service clock, like admission and the breakers.
         timeout = min(request.timeout or self.config.default_deadline,
                       self.config.deadline_ceiling)
-        deadline_at = time.monotonic() + timeout
+        deadline_at = self._clock() + timeout
         grammar_text = self.registry.source(request.grammar)  # 404 early
         breaker = self.breaker(request.grammar)
         breaker.admit()  # CircuitOpenError -> 503 + Retry-After
@@ -401,13 +400,15 @@ class ParseService:
                     # try to load it (also single-flight).
                     host = await self.registry.host(request.grammar)
                 request_id = "req-%d" % next(self._request_ids)
+                # The parser checks time.monotonic(): hand it the time
+                # left on the service clock as a deadline on that clock.
+                parse_deadline = time.monotonic() + (deadline_at - self._clock())
                 task = ParseTask(
                     request_id, grammar_text, request.grammar,
                     self.config.cache_dir, request.text,
                     rule_name=request.rule, recover=request.recover,
-                    budget=self.config.budget.with_deadline_at(deadline_at),
-                    want_tree=request.tree, use_tables=self.config.use_tables,
-                    chaos=self.chaos)
+                    budget=self.config.budget.with_deadline_at(parse_deadline),
+                    want_tree=request.tree, chaos=self.chaos)
                 outcome = await self._execute(task, host)
             finally:
                 self.admission.release()

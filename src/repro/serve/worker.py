@@ -26,15 +26,14 @@ class ParseTask:
 
     __slots__ = ("request_id", "grammar_text", "name", "cache_dir",
                  "options", "rule_name", "recover", "budget", "text",
-                 "want_tree", "use_tables", "chaos")
+                 "want_tree", "chaos")
 
     def __init__(self, request_id: str, grammar_text: str,
                  name: Optional[str], cache_dir: Optional[str],
                  text: str, rule_name: Optional[str] = None,
                  recover: bool = True,
                  budget: Optional[ParserBudget] = None,
-                 want_tree: bool = False, use_tables: bool = True,
-                 options=None, chaos=None):
+                 want_tree: bool = False, options=None, chaos=None):
         self.request_id = request_id
         self.grammar_text = grammar_text
         self.name = name
@@ -45,7 +44,6 @@ class ParseTask:
         self.budget = budget
         self.text = text
         self.want_tree = want_tree
-        self.use_tables = use_tables
         self.chaos = chaos
 
 
@@ -102,8 +100,7 @@ def execute_parse(task: ParseTask, host=None, telemetry=None,
         outcome["tokens"] = max(0, len(stream.tokens()) - 1)  # minus EOF
         parser = host.parser(stream, options=ParserOptions(
             recover=task.recover, budget=task.budget, telemetry=telemetry,
-            profiler=profiler, use_tables=task.use_tables,
-            build_tree=task.want_tree))
+            profiler=profiler, build_tree=task.want_tree))
         tree = parser.parse(task.rule_name)
         outcome["syntax_errors"] = [
             "%s: %s" % (e.position, e) for e in parser.errors]

@@ -10,14 +10,15 @@ finished automaton into parallel int arrays (CSR-style per-state ranges
 over sorted keys, walked with :func:`bisect.bisect_left`), which is what
 every *execution-time* consumer runs against:
 
-* :class:`~repro.runtime.parser.LLStarParser` walks
-  :class:`DecisionTable` arrays in ``_adaptive_predict`` — no per-step
-  dict lookups or attribute chases, and no allocation in the inner loop;
+* :class:`~repro.runtime.predict.Predictor`, the one prediction
+  routine of the interpreter and generated parsers, walks
+  :class:`DecisionTable` arrays in ``_adaptive_predict`` — no attribute
+  chases and no allocation in the inner loop;
 * the tokenizer walks :class:`LexerTable` character-range arrays;
 * :mod:`repro.cache` serializes :class:`TableSet` directly (schema v2),
   so an artifact stores exactly what the runtime executes;
 * :mod:`repro.codegen` embeds the same ``TableSet`` dict in generated
-  modules and drives prediction through one shared routine.
+  modules.
 
 Semantic contexts (predicate gates) are interned once per grammar in a
 :class:`SemCtxPool`; tables reference them by index, so identical

@@ -235,8 +235,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
                    help="token budget per sentence (default 120)")
     p.add_argument("--backends", metavar="LIST",
                    help="comma-separated backend subset (default: all of "
-                        "interp, interp-graph, codegen, llk, packrat, glr, "
-                        "earley)")
+                        "interp, codegen, llk, packrat, glr, earley)")
     p.add_argument("--mutate", type=float, default=0.0, metavar="RATE",
                    help="also corrupt RATE * N sentences for negative "
                         "testing (default 0)")

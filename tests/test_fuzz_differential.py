@@ -203,8 +203,7 @@ def test_property_suite_bounded_corpus(name):
     assert report.ok, report.summary()
     assert report.corpus_size == 10 and report.mutated_count == 2
     # The tree backends all ran (llk may be skipped with a recorded reason).
-    for backend in ("interp", "interp-graph", "codegen", "earley", "glr",
-                    "packrat"):
+    for backend in ("interp", "codegen", "earley", "glr", "packrat"):
         assert backend in report.backend_stats
     if "llk" not in report.backend_stats:
         assert "llk" in report.skipped and report.skipped["llk"]

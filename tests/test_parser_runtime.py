@@ -93,6 +93,48 @@ class TestErrorReportingDepth:
         assert len(parser.errors) == 1
 
 
+class TestSpeculationErrorDepth:
+    """Section 4.4: when every gate of a decision fails, the deepest
+    token a failed speculation reached locates the error better than
+    the token that stopped the DFA — in the interpreter and in
+    generated parsers alike (they share one predictor)."""
+
+    @pytest.fixture(scope="class")
+    def host(self):
+        return repro.compile_grammar(r"""
+            grammar Spec;
+            options { backtrack=true; }
+            s : e ';' | e '.' ;
+            e : '(' e ')' | ID ;
+            ID : [a-z]+ ;
+            WS : [ ]+ -> skip ;
+        """)
+
+    @staticmethod
+    def _generated(host):
+        from repro.codegen import generate_python
+        from repro.codegen.support import GeneratedParser
+
+        namespace = {}
+        exec(compile(generate_python(host.analysis), "<generated>", "exec"),
+             namespace)
+        return [v for v in namespace.values()
+                if isinstance(v, type) and issubclass(v, GeneratedParser)
+                and v is not GeneratedParser][0]
+
+    @pytest.mark.parametrize("backend", ["interp", "codegen"])
+    def test_reported_at_deepest_failed_speculation(self, host, backend):
+        text = "( ( ( ( x ) ) ) ;"  # one ')' short: both alternatives fail at ';'
+        with pytest.raises(NoViableAltError) as info:
+            if backend == "interp":
+                host.parse(text)
+            else:
+                self._generated(host)(host.tokenize(text)).parse()
+        error = info.value
+        assert (error.index, error.token.text) == (8, ";")
+        assert error.position == "1:16"
+
+
 class TestSemanticPredicates:
     HOST = None
 

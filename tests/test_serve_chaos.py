@@ -15,6 +15,7 @@ per-request-id hashing makes every scenario replayable.
 
 import asyncio
 import json
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -46,6 +47,14 @@ class FakeClock:
 
     def advance(self, seconds):
         self.now += seconds
+
+
+#: Fake-clock start values on both sides of the real monotonic clock:
+#: the service must never compare an instant from one clock with the
+#: other (a deadline stamped on the real clock looks long expired to a
+#: fake clock running ahead of it, and never expires to one behind it).
+CLOCK_STARTS = pytest.mark.parametrize(
+    "clock_start", [time.monotonic() + 1e6, 0.0], ids=["ahead", "behind"])
 
 
 def service_for(chaos=None, clock=None, **kwargs):
@@ -132,9 +141,10 @@ def test_corrupted_requests_never_500_and_never_hang():
 
 
 @pytest.mark.chaos
-def test_kills_trip_breaker_then_recover_after_faults_clear():
+@CLOCK_STARTS
+def test_kills_trip_breaker_then_recover_after_faults_clear(clock_start):
     async def scenario():
-        clock = FakeClock()
+        clock = FakeClock(clock_start)
         chaos = ServiceChaos(kill_rate=1.0)  # every parse draws KILL
         svc = service_for(chaos=chaos, clock=clock,
                           breaker_threshold=3, breaker_cooldown=5.0)
@@ -161,9 +171,10 @@ def test_kills_trip_breaker_then_recover_after_faults_clear():
 
 
 @pytest.mark.chaos
-def test_persistent_faults_reopen_from_half_open():
+@CLOCK_STARTS
+def test_persistent_faults_reopen_from_half_open(clock_start):
     async def scenario():
-        clock = FakeClock()
+        clock = FakeClock(clock_start)
         chaos = ServiceChaos(kill_rate=1.0)
         svc = service_for(chaos=chaos, clock=clock,
                           breaker_threshold=2, breaker_cooldown=3.0)
@@ -271,9 +282,10 @@ def test_drain_finishes_inflight_then_rejects():
 
 
 @pytest.mark.chaos
-def test_pool_kills_degrade_to_inline_and_recover():
+@CLOCK_STARTS
+def test_pool_kills_degrade_to_inline_and_recover(clock_start):
     async def scenario():
-        clock = FakeClock()
+        clock = FakeClock(clock_start)
         chaos = ServiceChaos(kill_rate=1.0)
         svc = service_for(chaos=chaos, clock=clock, jobs=1,
                           pool_rebuild_limit=1, pool_retry_cooldown=30.0)

@@ -11,19 +11,70 @@ the flat-table refactor rests on:
    answer identically on both representations, so a warm-started record
    (table only, DFA never materialized) classifies exactly like a
    cold-compiled one.
-3. **Prediction parity** — the table-walking parser and the
-   object-graph interpreter (``ParserOptions(use_tables=False)``, the
-   retained reference implementation) choose identical alternatives,
-   shown by identical parse trees and profiler event counts on the
-   bundled sample and a generated workload.
+3. **Prediction parity** — the table-walking parser and
+   :class:`GraphWalkingParser`, a reference oracle that walks the
+   object-graph DFA directly, choose identical alternatives, shown by
+   identical parse trees and profiler event counts on the bundled
+   sample and a generated workload.
 """
 
 import pytest
 
 from repro.analysis.decisions import DecisionRecord
+from repro.exceptions import NoViableAltError
 from repro.grammars import PAPER_ORDER, load
-from repro.runtime.parser import ParserOptions
+from repro.runtime.parser import LLStarParser, ParserOptions
 from repro.runtime.profiler import DecisionProfiler
+
+
+class GraphWalkingParser(LLStarParser):
+    """Test oracle: Figure-5 prediction over the object-graph DFA.
+
+    Follows ``record.dfa`` states and edges directly and tries each
+    state's predicate edges in order, instead of executing the flat
+    table.  Speculation and predicate evaluation are the parser's own;
+    only the walk differs, so any disagreement with
+    :class:`LLStarParser` is a table encoding or table-walk bug.
+    """
+
+    def _adaptive_predict(self, decision, frame):
+        record = self.analysis.records[decision]
+        dfa = record.dfa
+        if dfa is None or dfa.start is None:
+            dfa = self._materialize_dfa(decision, record)
+        state = dfa.start
+        offset = 0
+        backtracked = False
+        backtrack_depth = 0
+
+        def eval_leaf(predicate):
+            nonlocal backtracked, backtrack_depth
+            if not predicate.is_synpred:
+                return self._eval_predicate(predicate, frame)
+            backtracked = True
+            error, depth = self._eval_synpred(predicate.synpred)
+            backtrack_depth = max(backtrack_depth, depth)
+            return error is None
+
+        try:
+            while not state.is_accept:
+                nxt = state.edges.get(self.stream.la(offset + 1))
+                if nxt is not None:
+                    offset += 1
+                    state = nxt
+                    continue
+                for context, alt, _target in state.predicate_edges:
+                    if context is None or context.evaluate(eval_leaf):
+                        return alt
+                raise NoViableAltError(decision, self.stream.lt(offset + 1),
+                                       self.stream.index + offset,
+                                       rule_name=record.rule_name)
+            return state.predicted_alt
+        finally:
+            profiler = self.options.profiler
+            if profiler is not None and not self.speculating:
+                profiler.record(decision, max(offset, 1), backtracked,
+                                backtrack_depth)
 
 
 @pytest.fixture(scope="module", params=PAPER_ORDER)
@@ -65,10 +116,11 @@ class TestRepresentationEquivalence:
 class TestPredictionEquivalence:
     def _parse_both(self, host, text):
         trees, events = [], []
-        for use_tables in (True, False):
+        for parser_class in (LLStarParser, GraphWalkingParser):
             profiler = DecisionProfiler()
-            opts = ParserOptions(profiler=profiler, use_tables=use_tables)
-            trees.append(host.parse(text, options=opts))
+            opts = ParserOptions(profiler=profiler)
+            parser = parser_class(host.analysis, host.tokenize(text), opts)
+            trees.append(parser.parse())
             events.append(profiler.total_events)
         assert trees[0].to_sexpr() == trees[1].to_sexpr()
         assert events[0] == events[1]
