@@ -40,12 +40,16 @@ class ATNConfig:
     """One configuration ``(p, i, gamma, pi)`` inside a DFA state.
 
     ``preds`` is the tuple of predicates (conjunction) collected along
-    the closure path; empty tuple means unpredicated.  ``resolved``
-    marks configurations whose ambiguity was resolved by a predicate
-    (Algorithm 11's ``wasResolved``).
+    the closure path; empty tuple means unpredicated.
+
+    Configurations are immutable.  ``key`` is their identity, computed
+    once at construction: closure's busy set and the DFA-state
+    dedup table hash it millions of times per grammar.  It holds the
+    ATN state objects themselves (identity-hashed), so no per-call id
+    tuple is built.
     """
 
-    __slots__ = ("state", "alt", "stack", "preds", "resolved", "in_follow")
+    __slots__ = ("state", "alt", "stack", "preds", "in_follow", "key")
 
     def __init__(self, state: ATNState, alt: int, stack: Stack = EMPTY_STACK,
                  preds: Tuple[Predicate, ...] = (), in_follow: bool = False):
@@ -53,13 +57,13 @@ class ATNConfig:
         self.alt = alt
         self.stack = stack
         self.preds = preds
-        self.resolved = False
         # True once closure popped past the decision's own frame (chased
         # grammar-wide call sites).  Predicates found beyond that point
         # belong to *caller* frames and must not be hoisted into this
         # decision's gate — evaluating them in the current frame would be
         # unsound (e.g. the precedence-climbing loop's `_p`).
         self.in_follow = in_follow
+        self.key = (state, alt, stack, preds, in_follow)
 
     # -- derivation helpers (closure uses these) --------------------------------
 
@@ -79,8 +83,7 @@ class ATNConfig:
 
     def adding_pred(self, pred: Predicate) -> "ATNConfig":
         if self.in_follow or pred in self.preds:
-            return ATNConfig(self.state, self.alt, self.stack, self.preds,
-                             self.in_follow)
+            return self
         if pred.is_synpred and any(p.is_synpred for p in self.preds):
             # An outer synpred subsumes inner ones: speculating the outer
             # fragment re-speculates everything nested inside it, so only
@@ -89,22 +92,17 @@ class ATNConfig:
             # finite — otherwise every nested decision's auto-synpred
             # accumulates into the predicate tuple and DFA states never
             # converge (each loop iteration would mint a fresh config).
-            return ATNConfig(self.state, self.alt, self.stack, self.preds,
-                             self.in_follow)
+            return self
         return ATNConfig(self.state, self.alt, self.stack, self.preds + (pred,),
                          self.in_follow)
 
     # -- identity ---------------------------------------------------------------------
 
-    def key(self):
-        return (self.state.id, self.alt, tuple(s.id for s in self.stack), self.preds,
-                self.in_follow)
-
     def __eq__(self, other):
-        return isinstance(other, ATNConfig) and self.key() == other.key()
+        return isinstance(other, ATNConfig) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key())
+        return hash(self.key)
 
     def conflicts_with(self, other: "ATNConfig") -> bool:
         """Definition 7: same state, different alt, equivalent stacks."""

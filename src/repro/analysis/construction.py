@@ -19,13 +19,13 @@ Termination safety (Sections 5.3-5.4):
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.config import ATNConfig, EMPTY_STACK
 from repro.analysis.dfa_model import DFA, DFAState
 from repro.analysis.diagnostics import AnalysisDiagnostic
 from repro.analysis.semctx import SemanticContext, context_for_alt
-from repro.atn.states import ATN, RuleStopState
+from repro.atn.states import ATN, ATNState, RuleStopState
 from repro.atn.transitions import (
     ActionTransition,
     AtomTransition,
@@ -123,6 +123,22 @@ class DecisionAnalyzer:
         except AnalysisTimeoutError as e:
             self.diagnostics.append(AnalysisDiagnostic.state_budget(self.decision, str(e)))
             return self.create_ll1_dfa(str(e))
+        finally:
+            self._release()
+
+    def _release(self) -> None:
+        """Drop construction-only state once the decision is done.
+
+        Configurations, busy sets, and the dedup table are what subset
+        construction works on; the finished DFA needs only edges,
+        predicate edges, and accept markers (see :meth:`DFAState.to_dict`).
+        Keeping them would pin tens of thousands of configurations per
+        grammar for the life of the host.
+        """
+        for state in self.dfa.states:
+            state.configs = None
+            state.busy = None
+        self._states_by_key = {}
 
     def _create_full_dfa(self) -> DFA:
         dfa = self.dfa = DFA(self.decision, self.info.rule_name, self.info.num_alternatives)
@@ -134,7 +150,7 @@ class DecisionAnalyzer:
             seed = ATNConfig(transition.target, alt, EMPTY_STACK)
             self._add_closure(d0, seed, collect_preds=True)
         dfa.start = d0
-        self._register(d0)
+        self._states_by_key[d0.config_key()] = d0
         # Per Algorithm 8, resolve() runs on *successor* states, not D0:
         # conflicting configurations in D0 must flow into the move/closure
         # successors, where one token of context separates e.g. the
@@ -160,15 +176,13 @@ class DecisionAnalyzer:
             if max_k is not None and depth.get(d.id, 0) >= max_k:
                 self._force_resolve(d)
                 continue
-            for token_type in self._lookahead_tokens(d):
-                moved = self._move(d, token_type)
-                if not moved:
-                    continue
+            for token_type, moved in self._moves(d):
                 candidate = self.dfa.new_state()
                 for config in moved:
                     self._add_closure(candidate, config)
-                existing = self._states_by_key.get(candidate.config_key())
-                if existing is not None and existing is not candidate:
+                key = candidate.config_key()
+                existing = self._states_by_key.get(key)
+                if existing is not None:
                     self.dfa.states.pop()  # discard the duplicate shell
                     d.edges[token_type] = existing
                     continue
@@ -176,9 +190,8 @@ class DecisionAnalyzer:
                     raise AnalysisTimeoutError(
                         "decision %d exceeded DFA state budget (%d states)"
                         % (self.decision, self.options.max_dfa_states))
-                self._register(candidate)
+                self._states_by_key[key] = candidate
                 self._resolve(candidate)
-                self._emit_predicate_edges(candidate)
                 d.edges[token_type] = candidate
                 depth[candidate.id] = depth.get(d.id, 0) + 1
                 predicted = {c.alt for c in candidate.configs}
@@ -209,29 +222,28 @@ class DecisionAnalyzer:
         d.is_accept = True
         d.predicted_alt = min_alt
 
-    def _register(self, state: DFAState) -> None:
-        self._states_by_key[state.config_key()] = state
-
     # ---------------------------------------------------------------- move
 
-    def _lookahead_tokens(self, d: DFAState) -> List[int]:
-        """T_D: token types with consuming transitions out of d's configs."""
-        tokens: Set[int] = set()
+    def _moves(self, d: DFAState) -> List[Tuple[int, List[ATNConfig]]]:
+        """move(d, t) for every token type t in T_D, in token-type order.
+
+        One pass over d's configurations.  Each token's list keeps
+        d's configuration order: closure adds successors in that order,
+        which fixes DFA state numbering and so the analysis output.  A
+        set edge's moved configuration is shared by every token in the
+        set (configurations are immutable).
+        """
+        moves: Dict[int, List[ATNConfig]] = {}
         for config in d.configs:
             for t in config.state.transitions:
                 if isinstance(t, AtomTransition):
-                    tokens.add(t.token_type)
+                    moves.setdefault(t.token_type, []).append(
+                        config.with_state(t.target))
                 elif isinstance(t, SetTransition):
-                    tokens.update(t.token_set)
-        return sorted(tokens)
-
-    def _move(self, d: DFAState, token_type: int) -> List[ATNConfig]:
-        out: List[ATNConfig] = []
-        for config in d.configs:
-            for t in config.state.transitions:
-                if t.consumes_input and t.matches(token_type):
-                    out.append(config.with_state(t.target))
-        return out
+                    moved = config.with_state(t.target)
+                    for token_type in t.token_set:
+                        moves.setdefault(token_type, []).append(moved)
+        return sorted(moves.items())
 
     # ---------------------------------------------------------------- Alg. 9
 
@@ -251,7 +263,7 @@ class DecisionAnalyzer:
         unsound, so successor-state closure ignores it (the parser
         enforces user predicates when it actually reaches them).
         """
-        key = config.key()
+        key = config.key
         if key in d.busy:
             return
         d.busy.add(key)
@@ -263,7 +275,7 @@ class DecisionAnalyzer:
             return
         for t in state.transitions:
             if isinstance(t, RuleTransition):
-                depth = sum(1 for s in config.stack if s is t.follow_state)
+                depth = config.stack.count(t.follow_state)
                 if depth == 1:
                     d.recursive_alts.add(config.alt)
                     if (len(d.recursive_alts) > 1
@@ -324,12 +336,15 @@ class DecisionAnalyzer:
     def _conflict_set(self, d: DFAState) -> Set[int]:
         """Definition 7: alts involved in same-state, equivalent-stack clashes."""
         conflicts: Set[int] = set()
-        by_state: Dict[int, List[ATNConfig]] = {}
+        by_state: Dict[ATNState, List[ATNConfig]] = {}
         for c in d.configs:
-            by_state.setdefault(c.state.id, []).append(c)
+            by_state.setdefault(c.state, []).append(c)
         for configs in by_state.values():
             if len(configs) < 2:
                 continue
+            alt = configs[0].alt
+            if all(c.alt == alt for c in configs):
+                continue  # one alternative cannot conflict with itself
             for i, c1 in enumerate(configs):
                 for c2 in configs[i + 1:]:
                     if c1.conflicts_with(c2):
@@ -358,9 +373,6 @@ class DecisionAnalyzer:
         ungated = [a for a in sorted(conflict_alts) if a not in contexts]
         if ungated and ungated != [max(conflict_alts)]:
             return False
-        for c in d.configs:
-            if c.alt in conflict_alts:
-                c.resolved = True
         d.predicate_edges = [(contexts.get(alt), alt, self._pred_accept(alt))
                              for alt in sorted(conflict_alts)]
         d.configs = [c for c in d.configs if c.alt not in conflict_alts]
@@ -374,11 +386,6 @@ class DecisionAnalyzer:
             acc.predicted_alt = alt
             self._pred_accepts[alt] = acc
         return acc
-
-    def _emit_predicate_edges(self, d: DFAState) -> None:
-        """Predicate edges were attached during resolve; nothing more to
-        do, but kept as an explicit hook mirroring Algorithm 8's final
-        foreach over resolved configurations."""
 
     # ---------------------------------------------------------------- fallback
 
@@ -406,8 +413,7 @@ class DecisionAnalyzer:
                                   collect_preds=True)
             dfa.start = d0
             accepts: Dict[int, DFAState] = {}
-            for token_type in self._lookahead_tokens(d0):
-                moved = self._move(d0, token_type)
+            for token_type, moved in self._moves(d0):
                 alts = sorted({c.alt for c in moved})
                 if len(alts) == 1:
                     alt = alts[0]

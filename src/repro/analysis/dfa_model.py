@@ -28,22 +28,24 @@ class DFAState:
 
     def __init__(self, state_id: int):
         self.id = state_id
-        self.configs: List = []
         self.edges: Dict[int, "DFAState"] = {}
         self.predicate_edges: List[Tuple[Optional[Predicate], int, "DFAState"]] = []
         self.is_accept = False
         self.predicted_alt: Optional[int] = None
-        # Construction-time bookkeeping (Algorithm 9).
-        self.busy: Set = set()
+        # Construction-only bookkeeping (Algorithm 9): the state's ATN
+        # configurations and the busy set of their keys.  The analyzer
+        # sets both to None once the decision's DFA is finished.
+        self.configs: Optional[List] = []
+        self.busy: Optional[Set] = set()
         self.recursive_alts: Set[int] = set()
         self.overflowed = False
 
     def config_key(self) -> frozenset:
-        return frozenset(c.key() for c in self.configs)
-
-    def predicted_alts(self) -> List[int]:
-        """Distinct alternatives predicted by this state's configurations."""
-        return sorted({c.alt for c in self.configs})
+        """The state's identity during construction: the keys of its
+        configurations.  Closure adds exactly one busy-set key per
+        configuration, so until resolve() prunes ``configs`` the busy
+        set *is* that key set."""
+        return frozenset(self.busy)
 
     @property
     def has_synpred_edge(self) -> bool:
@@ -54,9 +56,10 @@ class DFAState:
         """JSON-safe form; targets are state ids, resolved by :meth:`DFA.from_dict`.
 
         Construction-time bookkeeping (``configs``, ``busy``) is not
-        serialized: it references live ATN state objects and nothing
-        after analysis reads it — prediction, classification, and the
-        shape queries above only need edges, predicate edges, and the
+        serialized: it references live ATN state objects, the analyzer
+        releases it when the decision is done, and nothing after
+        analysis reads it — prediction, classification, and the shape
+        queries above only need edges, predicate edges, and the
         accept/alt markers.
         """
         return {

@@ -158,7 +158,7 @@ class FixedKAnalyzer:
         if len(prefix) == k:
             out.add(prefix)
             return
-        key = (config.key(), prefix)
+        key = (config.key, prefix)
         if key in busy:
             return
         busy.add(key)

@@ -12,7 +12,9 @@ Lifecycle of one :meth:`BatchEngine.run`:
    ``inflight_per_worker x jobs`` chunks submitted at a time
    (backpressure: a huge corpus streams through bounded memory instead
    of materializing every future up front).
-4. Each chunk returns its :class:`BatchResult` rows plus a chunk-local
+4. Workers parse without building trees: a :class:`BatchResult` holds
+   the outcome, error, and token count of an input, not its tree.
+5. Each chunk returns its :class:`BatchResult` rows plus a chunk-local
    metrics registry and profiler; the parent folds them into the
    corpus-level :class:`BatchReport` as chunks complete, preserving
    input order in the final result list.

@@ -8,6 +8,12 @@ the worker receives parses against that host.  Static analysis
 (:class:`~repro.analysis.construction.DecisionAnalyzer`) never runs in a
 worker; a batch's analysis cost is paid once, in the parent.
 
+Inputs parse without building trees (``ParserOptions(build_tree=False)``):
+a :class:`~repro.batch.engine.BatchResult` records outcome, error, and
+token count, never a tree, so building one per file would be pure
+allocation.  Recovery, telemetry, and profiling see the same parse
+either way.
+
 Chunk results travel back as plain picklable values: a list of
 :class:`~repro.batch.engine.BatchResult` rows plus the chunk's
 :class:`~repro.runtime.telemetry.MetricsRegistry` and
@@ -126,7 +132,7 @@ class WorkerContext:
                 strict=config.strict)
 
     def run_chunk(self, chunk: Sequence[Tuple[str, str]]):
-        """Parse one chunk of ``(input_id, text)`` pairs.
+        """Parse one chunk of ``(input_id, text)`` pairs, tree-free.
 
         Returns ``(results, metrics, profiler)``; the registry and
         profiler cover exactly this chunk, so the parent's merge over all
@@ -179,7 +185,7 @@ class WorkerContext:
                 stream = host.tokenize(text)
                 tokens = max(0, len(stream.tokens()) - 1)  # minus EOF
                 parser = host.parser(stream, options=ParserOptions(
-                    profiler=profiler, telemetry=telemetry,
+                    build_tree=False, profiler=profiler, telemetry=telemetry,
                     budget=config.budget, recover=config.recover))
                 parser.parse(config.rule_name)
                 errors = len(parser.errors)

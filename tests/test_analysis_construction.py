@@ -6,6 +6,8 @@ DFA with recursion overflow at m=1, the Section 2 cyclic example that
 defeats LALR(k), and the Section 5 bracketed-identifier LL(1) example.
 """
 
+import gc
+
 import pytest
 
 from repro.analysis import (
@@ -15,6 +17,7 @@ from repro.analysis import (
     FIXED,
     analyze,
 )
+from repro.analysis.config import ATNConfig
 from repro.analysis.diagnostics import AnalysisDiagnostic
 from repro.grammar.meta_parser import parse_grammar
 
@@ -257,3 +260,32 @@ class TestDecisionAggregates:
     def test_elapsed_time_recorded(self):
         result = analyzed("s : A ; A:'a';")
         assert result.elapsed_seconds >= 0
+
+
+def live_configs(atn):
+    """ATN configurations over ``atn``'s states still alive after a full
+    collection (configurations other tests hold stay out of the count)."""
+    gc.collect()
+    states = set(atn.states)
+    return [o for o in gc.get_objects()
+            if type(o) is ATNConfig and o.state in states]
+
+
+class TestConstructionStateLifetime:
+    """Configurations, busy sets, and the dedup table exist only while a
+    decision is being analyzed; a finished DFA keeps none of them."""
+
+    def test_compiled_suite_grammar_keeps_no_configurations(self):
+        from repro.api import compile_grammar
+        from repro.grammars import load
+
+        host = compile_grammar(load("rats_c").grammar_text)
+        assert host.analysis.records  # the host (and its DFAs) is alive
+        assert live_configs(host.analysis.atn) == []
+
+    def test_ll1_fallback_keeps_no_configurations(self):
+        text = ("s : (A|B) (A|B) (A|B) (A|B) X | (A|B) (A|B) (A|B) (A|B) Y ; "
+                "A:'a'; B:'b'; X:'x'; Y:'y';")
+        result = analyze(parse_grammar(text), AnalysisOptions(max_dfa_states=3))
+        assert result.dfa_for(0).fell_back_to_ll1
+        assert live_configs(result.atn) == []

@@ -11,10 +11,12 @@ import pickle
 import pytest
 
 from repro.batch import BatchEngine, parse_corpus
+from repro.exceptions import LLStarError
 from repro.runtime.budget import ParserBudget
 from repro.runtime.parser import ParserOptions
 from repro.runtime.profiler import DecisionProfiler
 from repro.runtime.telemetry import MetricsRegistry, ParseTelemetry
+from repro.runtime.trees import TreeBuilder
 from repro.tools import cli
 
 GRAMMAR = r"""
@@ -192,6 +194,64 @@ class TestBatchEngine:
             BatchEngine(GRAMMAR, chunk_size=0)
         with pytest.raises(ValueError):
             BatchEngine(GRAMMAR, inflight_per_worker=0)
+
+
+def tree_building_row(host, text, recover):
+    """The row a tree-building parse of ``text`` implies, in the
+    ``(ok, error_type, error, tokens)`` form of a BatchResult."""
+    tokens = 0
+    try:
+        stream = host.tokenize(text)
+        tokens = len(stream.tokens()) - 1  # minus EOF
+        parser = host.parser(stream, options=ParserOptions(recover=recover))
+        assert parser.parse() is not None
+    except LLStarError as e:
+        return (False, type(e).__name__, str(e), tokens)
+    if parser.errors:
+        return (False, "RecognitionError",
+                "%d recovered syntax error(s); first: %s"
+                % (len(parser.errors), parser.errors[0]), tokens)
+    return (True, None, None, tokens)
+
+
+class TestTreeFreeBatch:
+    """Batch rows carry no tree, so workers parse without building one;
+    every row must still match what a tree-building parse reports."""
+
+    INVALID = [BAD, ("nonascii", "x = Δ;"), ("truncated", "x = (1 + 2")]
+    # Panic-mode resyncs plus single-token insertion ("missing-eq",
+    # "unclosed") and deletion ("stray-paren") repairs.
+    REPAIRABLE = [("fixable", "x = 1 + ; y = 2;"),
+                  ("missing-semi", "x = 1 y = 2;"),
+                  ("extra-token", "x = = 1; y = 2;"),
+                  ("missing-eq", "x = 1; y 2;"),
+                  ("stray-paren", "x = 1 ) ; y = 2;"),
+                  ("unclosed", "x = (1 + 2 ;")]
+
+    @pytest.mark.parametrize("recover", [False, True])
+    def test_rows_match_tree_building_parse_without_trees(self, monkeypatch,
+                                                          recover):
+        corpus = GOOD + self.INVALID + self.REPAIRABLE
+        engine = BatchEngine(GRAMMAR, jobs=0, recover=recover)
+        calls = []
+        original = TreeBuilder.open_rule
+
+        def counting_open_rule(builder, *args):
+            calls.append(args)
+            return original(builder, *args)
+
+        monkeypatch.setattr(TreeBuilder, "open_rule", counting_open_rule)
+        report = engine.run(corpus)
+        assert calls == []
+        expected = [tree_building_row(engine.host, text, recover)
+                    for _, text in corpus]
+        assert calls  # the oracle really built trees
+        assert [(r.ok, r.error_type, r.error, r.tokens)
+                for r in report.results] == expected
+        assert report.ok_count == len(GOOD)
+        if recover:
+            assert all("recovered syntax error" in r.error
+                       for r in report.results[-len(self.REPAIRABLE):])
 
 
 class TestMetricsRegistryMerge:
