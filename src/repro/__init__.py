@@ -37,12 +37,13 @@ Convenience:
 Artifact cache (:mod:`repro.cache`):
     ``compile_grammar(text, cache_dir=...)`` persists the analysis
     output (lookahead DFAs, classifications, diagnostics, lexer tables)
-    to a versioned on-disk store; later compiles of the same grammar
-    warm-start from disk and skip static analysis entirely.
+    to a versioned on-disk store of checksummed ``.llt`` images; later
+    compiles of the same grammar warm-start from disk and skip static
+    analysis entirely.
 
 Batch parsing (:mod:`repro.batch`):
     :class:`BatchEngine` parses a corpus across a process pool whose
-    workers warm-start once from the cache or a shipped table payload;
+    workers warm-start once from an artifact image, given only its key;
     each input is budget-isolated, and per-worker metrics/profiles fold
     into one :class:`BatchReport`.  :func:`parse_corpus` is the
     one-call form.
@@ -86,7 +87,7 @@ from repro.grammar import (
     erase_syntactic_predicates,
     eliminate_left_recursion,
 )
-from repro.api import compile_grammar, host_from_artifact, ParserHost
+from repro.api import compile_grammar, ParserHost
 from repro.analysis import analyze, AnalysisOptions, AnalysisResult
 from repro.batch import BatchEngine, BatchReport, BatchResult, parse_corpus
 from repro import cache
@@ -119,7 +120,6 @@ __all__ = [
     "BatchResult",
     "cache",
     "compile_grammar",
-    "host_from_artifact",
     "parse_corpus",
     "ParserHost",
     "analyze",

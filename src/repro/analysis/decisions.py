@@ -325,14 +325,15 @@ class AnalysisResult:
         (see :meth:`GrammarAnalyzer.prepare_atn`).
 
         Deserialization is salvaged per decision: a record whose stored
-        form is unusable (bit rot that survived JSON parsing) becomes a
-        degraded placeholder plus a ``degraded`` diagnostic, instead of
-        sinking the whole warm start; the parser rebuilds such DFAs on
-        first use.  Payload-level inconsistencies (wrong decision count,
-        missing keys) still raise — those mean the entry belongs to a
-        different grammar, not a damaged copy of this one.
+        form is unusable (a table that does not rebuild, or that belongs
+        to another decision) becomes a degraded placeholder plus a
+        ``degraded`` diagnostic, instead of sinking the whole warm start;
+        the parser rebuilds such DFAs on first use.  Payload-level
+        inconsistencies (wrong decision count, missing keys) still raise
+        — those mean the entry belongs to a different grammar, not a
+        damaged copy of this one.
 
-        ``validate=False`` (checksummed mmap sources only) skips the
+        ``validate=False`` (checksummed ``.llt`` images only) skips the
         per-table structural sweep and keeps array rows zero-copy.
         """
         from repro.exceptions import ArtifactFormatError

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.semctx import context_from_dict
 from repro.atn.transitions import Predicate
 
 
@@ -53,7 +52,7 @@ class DFAState:
                    for ctx, _, _ in self.predicate_edges)
 
     def to_dict(self) -> dict:
-        """JSON-safe form; targets are state ids, resolved by :meth:`DFA.from_dict`.
+        """JSON-safe form; edge targets are state ids (diagnostics and tests).
 
         Construction-time bookkeeping (``configs``, ``busy``) is not
         serialized: it references live ATN state objects, the analyzer
@@ -184,7 +183,7 @@ class DFA:
         static detection of dead productions)."""
         return set(range(1, self.num_alternatives + 1)) - self.reachable_alts()
 
-    # -- artifact serialization (repro.cache) ------------------------------------
+    # -- comparable form (table equivalence, tests) -------------------------------
 
     def to_dict(self) -> dict:
         """Deterministic JSON-safe form: states in id order, sorted edges."""
@@ -199,33 +198,6 @@ class DFA:
             "gave_up_reason": self.gave_up_reason,
             "states": [s.to_dict() for s in self.states],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DFA":
-        dfa = cls(data["decision"], data["rule_name"], data["num_alternatives"])
-        for i, _ in enumerate(data["states"]):
-            state = dfa.new_state()
-            if state.id != data["states"][i]["id"]:
-                raise ValueError("non-contiguous DFA state ids in cache entry")
-        for sd in data["states"]:
-            state = dfa.states[sd["id"]]
-            state.is_accept = sd["is_accept"]
-            state.predicted_alt = sd["predicted_alt"]
-            state.overflowed = sd["overflowed"]
-            state.recursive_alts = set(sd["recursive_alts"])
-            for token_type, target in sd["edges"]:
-                state.edges[token_type] = dfa.states[target]
-            state.predicate_edges = [
-                (context_from_dict(ctx) if ctx is not None else None,
-                 alt, dfa.states[target])
-                for ctx, alt, target in sd["predicate_edges"]]
-        if data["start"] is not None:
-            dfa.start = dfa.states[data["start"]]
-        dfa.statically_resolved_alts = set(data["statically_resolved_alts"])
-        dfa.had_overflow = data["had_overflow"]
-        dfa.fell_back_to_ll1 = data["fell_back_to_ll1"]
-        dfa.gave_up_reason = data["gave_up_reason"]
-        return dfa
 
     def __repr__(self):
         return "DFA(decision %d in %s: %d states%s)" % (

@@ -141,51 +141,58 @@ def _wants_lexer(grammar: Grammar) -> bool:
                      or grammar.vocabulary.literals()))
 
 
-def _host_from_payload(payload: dict, source: str, name: Optional[str],
-                       options: Optional[AnalysisOptions],
-                       rewrite_left_recursion: bool,
-                       strict: bool, trusted: bool = False) -> ParserHost:
-    """Warm start: rebuild grammar + ATN, attach cached DFAs and lexer.
+def host_from_image(mapped, name: Optional[str] = None,
+                    options: Optional[AnalysisOptions] = None,
+                    rewrite_left_recursion: bool = True,
+                    strict: bool = True, diagnostics=()) -> ParserHost:
+    """Warm-start a :class:`ParserHost` from a mapped ``.llt`` image
+    (:class:`~repro.cache.MappedArtifact`) — the one boot path every
+    cached host takes.
 
-    Raises on any payload/grammar inconsistency; the caller evicts the
-    entry and falls back to a cold compile.  ``trusted`` marks a payload
-    whose bytes carry their own integrity check (the checksummed mmap
-    image): structural table validation is skipped and array rows may be
-    zero-copy ``memoryview`` slices of the mapping.
+    Re-derives the grammar and ATN from the source the image carries
+    (meta-parse, rewrite, validate, :meth:`GrammarAnalyzer.prepare_atn`)
+    and grafts the image's tables on zero-copy; static analysis never
+    runs.  ``diagnostics`` (the store's :class:`~repro.cache.CacheDiagnostic`
+    list) becomes ``host.cache_diagnostics``, and a decision whose stored
+    record was unusable degrades with a warning instead of failing.
+
+    Raises :class:`GrammarError` when the grammar itself is bad,
+    :class:`~repro.exceptions.ArtifactFormatError` when the image's
+    content is damaged (``corrupt``), and ``ValueError`` when it belongs
+    to other grammar text (``stale``); the mapping is closed on every
+    failure.
     """
     from repro.cache import analysis_from_artifact, grammar_fingerprint
     from repro.cache import lexer_from_artifact
 
-    if payload.get("grammar_hash") != grammar_fingerprint(source, name):
-        raise ValueError("cache entry was built from different grammar text")
-    grammar, issues = _prepare_grammar(source, name, rewrite_left_recursion, strict)
-    if _wants_lexer(grammar) != (payload.get("lexer") is not None):
-        raise ValueError("cache entry lexer presence does not match grammar")
-    analysis = analysis_from_artifact(grammar, payload, options, trusted=trusted)
-    lexer_spec = lexer_from_artifact(grammar, payload, trusted=trusted)
+    payload = mapped.payload
+    source = mapped.grammar_source
+    try:
+        if payload.get("grammar_hash") != grammar_fingerprint(source, name):
+            raise ValueError("cache entry was built from different grammar text")
+        grammar, issues = _prepare_grammar(source, name,
+                                           rewrite_left_recursion, strict)
+        if _wants_lexer(grammar) != (payload.get("lexer") is not None):
+            raise ValueError("cache entry lexer presence does not match grammar")
+        analysis = analysis_from_artifact(grammar, payload, options)
+        lexer_spec = lexer_from_artifact(grammar, payload)
+    except BaseException:
+        mapped.close()
+        raise
     host = ParserHost(grammar, analysis, lexer_spec)
     host.validation_issues = issues
     host.from_cache = True
+    host.mapped_artifact = mapped
+    host.cache_diagnostics = diagnostics
+    degraded = host.degraded_decisions
+    if degraded:
+        import warnings
+
+        warnings.warn(
+            "cache entry for grammar %s partially corrupt: "
+            "decision(s) %s will be re-analyzed on first use"
+            % (grammar.name, degraded))
     return host
-
-
-def host_from_artifact(payload: dict, source: str, name: Optional[str] = None,
-                       options: Optional[AnalysisOptions] = None,
-                       rewrite_left_recursion: bool = True,
-                       strict: bool = True) -> ParserHost:
-    """Warm-start a :class:`ParserHost` from an in-memory artifact payload
-    (the dict :func:`repro.cache.artifact_to_dict` builds) without
-    touching disk or re-running :class:`DecisionAnalyzer`.
-
-    This is how :mod:`repro.batch` pool workers boot: the parent process
-    compiles (or cache-loads) the grammar once, ships the serialized
-    payload to each worker's initializer, and every worker rebuilds the
-    identical execution tables from it.  Raises on any payload/grammar
-    inconsistency — an in-memory payload, unlike an on-disk cache entry,
-    has no cold-compile fallback to hide behind.
-    """
-    return _host_from_payload(payload, source, name, options,
-                              rewrite_left_recursion, strict)
 
 
 def host_from_cache_key(cache_dir: str, key: str,
@@ -196,16 +203,15 @@ def host_from_cache_key(cache_dir: str, key: str,
                         telemetry=None) -> ParserHost:
     """Warm-start a :class:`ParserHost` from a cache key alone.
 
-    The binary ``.llt`` sidecar for ``key`` carries the grammar text, so
-    a process that knows only ``(cache_dir, key)`` — a batch pool worker
-    — can boot without being shipped the source or the payload: it maps
-    the file (sharing one page-cache copy with every sibling) and
-    rebuilds its tables zero-copy.
+    The image for ``key`` carries the grammar text, so a process that
+    knows only ``(cache_dir, key)`` — a batch pool worker — boots
+    without being shipped the source: it maps the file (sharing one
+    page-cache copy with every sibling) and rebuilds its tables
+    zero-copy through :func:`host_from_image`.
 
-    Raises :class:`~repro.exceptions.ArtifactFormatError` when the
-    sidecar is missing, damaged, or was written without the grammar
-    source; callers with the grammar text fall back to
-    :func:`compile_grammar`.
+    Raises :class:`~repro.exceptions.ArtifactFormatError` when the image
+    is missing or unusable (a damaged one is also evicted); callers with
+    the grammar text fall back to :func:`compile_grammar`.
     """
     from repro.cache import ArtifactStore
     from repro.exceptions import ArtifactFormatError
@@ -214,40 +220,16 @@ def host_from_cache_key(cache_dir: str, key: str,
                           sweep_orphans=False)
     mapped = store.load_mapped(key)
     if mapped is None:
-        raise ArtifactFormatError("no usable mmap artifact for key %s"
+        raise ArtifactFormatError("no usable artifact image for key %s"
                                   % key[:16])
-    if mapped.grammar_source is None:
-        mapped.close()
-        raise ArtifactFormatError(
-            "mmap artifact for key %s carries no grammar source" % key[:16])
     try:
-        host = _host_from_payload(mapped.payload, mapped.grammar_source,
-                                  name, options, rewrite_left_recursion,
-                                  strict, trusted=True)
-    except GrammarError:
-        mapped.close()
+        return host_from_image(mapped, name, options, rewrite_left_recursion,
+                               strict, store.diagnostics)
+    except (GrammarError, ArtifactFormatError, Warning):
         raise
     except Exception as e:
-        mapped.close()
         raise ArtifactFormatError(
-            "mmap artifact for key %s rejected: %s" % (key[:16], e))
-    host.mapped_artifact = mapped
-    host.cache_diagnostics = store.diagnostics
-    return host
-
-
-def _finish_cached_host(host: ParserHost, store) -> ParserHost:
-    """Common tail of every successful warm start."""
-    host.cache_diagnostics = store.diagnostics
-    degraded = host.degraded_decisions
-    if degraded:
-        import warnings
-
-        warnings.warn(
-            "cache entry for grammar %s partially corrupt: "
-            "decision(s) %s will be re-analyzed on first use"
-            % (host.grammar.name, degraded))
-    return host
+            "artifact image for key %s rejected: %s" % (key[:16], e))
 
 
 def compile_grammar(source, name: Optional[str] = None,
@@ -295,55 +277,30 @@ def _compile_grammar_impl(source, name, options, rewrite_left_recursion,
 
         store = ArtifactStore(cache_dir, telemetry=telemetry)
         key = artifact_key(source, name, options, rewrite_left_recursion)
-
-        # Fast path: mmap the binary sidecar — zero-copy tables, no JSON
-        # parse, no structural validation (the image is checksummed).
         mapped = store.load_mapped(key)
         if mapped is not None:
             try:
-                host = _host_from_payload(mapped.payload, source, name,
-                                          options, rewrite_left_recursion,
-                                          strict, trusted=True)
-            except GrammarError:
-                mapped.close()
-                raise  # the grammar itself is bad; not a cache problem
-            except Exception as e:
-                mapped.close()
-                kind = (CacheDiagnostic.CORRUPT
-                        if isinstance(e, ArtifactFormatError)
-                        else CacheDiagnostic.STALE)
-                store.note(kind, key,
-                           "mmap entry rejected (%s); evicted" % e)
-                store.evict(key)  # both files: recompile below
-            else:
-                host.mapped_artifact = mapped
-                return _finish_cached_host(host, store)
-
-        payload = store.load(key)
-        if payload is not None:
-            try:
-                host = _host_from_payload(payload, source, name, options,
-                                          rewrite_left_recursion, strict)
-            except GrammarError:
+                if mapped.grammar_source != source:
+                    mapped.close()
+                    raise ValueError("cache entry holds different grammar text")
+                return host_from_image(mapped, name, options,
+                                       rewrite_left_recursion, strict,
+                                       store.diagnostics)
+            except (GrammarError, Warning):
                 raise  # the grammar itself is bad; not a cache problem
             except Exception as e:
                 kind = (CacheDiagnostic.CORRUPT
                         if isinstance(e, ArtifactFormatError)
                         else CacheDiagnostic.STALE)
                 store.note(kind, key, "entry rejected (%s); evicted" % e)
-                store.evict(key)  # stale/corrupt entry: recompile below
-            else:
-                # The JSON entry was good but no sidecar mapped above:
-                # regenerate it so the *next* start takes the fast path.
-                store.save_sidecar(key, payload, source)
-                return _finish_cached_host(host, store)
+                store.evict(key)  # recompile and republish below
         host = compile_grammar(source, name=name, options=options,
                                rewrite_left_recursion=rewrite_left_recursion,
                                strict=strict, parallel=parallel)
         store.save(key, artifact_to_dict(host.grammar, host.analysis,
                                          host.lexer_spec,
                                          grammar_fingerprint(source, name)),
-                   source=source)
+                   source)
         host.cache_diagnostics = store.diagnostics
         return host
 

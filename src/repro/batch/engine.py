@@ -4,10 +4,13 @@ Lifecycle of one :meth:`BatchEngine.run`:
 
 1. The parent compiles the grammar once (through the artifact cache when
    ``cache_dir`` is set, so the analysis is also persisted for the next
-   run) and serializes the compiled artifact.
+   run).
 2. A ``ProcessPoolExecutor`` starts ``jobs`` workers, each warm-started
-   by :func:`repro.batch.worker.initialize_worker` — no worker ever runs
-   static analysis.
+   by :func:`repro.batch.worker.initialize_worker` from the artifact
+   image and its key alone — no worker ever runs static analysis.  The
+   image is the one in ``cache_dir``; without one there, the run
+   publishes it into a private temporary directory that lives as long
+   as the pool.
 3. Inputs are dispatched in chunks, with at most
    ``inflight_per_worker x jobs`` chunks submitted at a time
    (backpressure: a huge corpus streams through bounded memory instead
@@ -20,12 +23,14 @@ Lifecycle of one :meth:`BatchEngine.run`:
    input order in the final result list.
 
 ``jobs=0`` runs the same chunk code inline in the parent process —
-deterministic, pool-free execution for debugging and tests.
+deterministic, pool-free execution for debugging and tests; it publishes
+nothing.
 """
 
 from __future__ import annotations
 
 import os
+import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -36,6 +41,12 @@ from repro.batch.worker import (
     WorkerContext,
     initialize_worker,
     run_chunk,
+)
+from repro.cache import (
+    ArtifactStore,
+    artifact_key,
+    artifact_to_dict,
+    grammar_fingerprint,
 )
 from repro.runtime.budget import ParserBudget
 from repro.runtime.profiler import DecisionProfiler, ProfileReport
@@ -181,8 +192,8 @@ class BatchEngine:
         :class:`~repro.exceptions.RecognitionError` on one input fails
         only that input's :class:`BatchResult`.
     ``cache_dir``
-        Compile through the artifact cache; workers then warm-start from
-        disk instead of receiving the payload in their initializer.
+        Compile through the artifact cache; pool workers then map the
+        image published there instead of a private copy.
     ``max_pool_rebuilds``
         How many times a broken pool (a worker killed mid-corpus) is
         rebuilt and the lost chunks retried before the engine degrades
@@ -216,62 +227,23 @@ class BatchEngine:
         self.chunk_size = chunk_size
         self.inflight_per_worker = inflight_per_worker
         self.max_pool_rebuilds = max_pool_rebuilds
-        # Compile once in the parent; with a cache_dir this also persists
-        # the artifact (JSON + mmap sidecar) the workers warm-start from.
+        # Compile once in the parent; with a cache_dir this also publishes
+        # the artifact image the workers warm-start from.
         self.host = compile_grammar(
             grammar_text, name=name, options=options,
             rewrite_left_recursion=rewrite_left_recursion, strict=strict,
             cache_dir=cache_dir, parallel=parallel)
-        payload = None
-        worker_key = None
-        if cache_dir is None:
-            from repro.cache import artifact_to_dict, grammar_fingerprint
-
-            payload = artifact_to_dict(
-                self.host.grammar, self.host.analysis, self.host.lexer_spec,
-                grammar_fingerprint(grammar_text, name))
-        else:
-            worker_key = self._probe_worker_key(
-                grammar_text, name, options, rewrite_left_recursion,
-                cache_dir)
-        if worker_key is not None:
-            # Slim initargs: the sidecar carries the grammar text, so the
-            # pickled config ships neither source nor payload and every
-            # worker maps the same page-cache copy of the tables.
-            self._config = WorkerConfig(
-                None, name, options, rewrite_left_recursion, strict,
-                cache_dir, None, rule_name, budget, recover, chaos=chaos,
-                artifact_key=worker_key)
-        else:
-            self._config = WorkerConfig(
-                grammar_text, name, options, rewrite_left_recursion, strict,
-                cache_dir, payload, rule_name, budget, recover, chaos=chaos)
-
-    def _probe_worker_key(self, grammar_text, name, options,
-                          rewrite_left_recursion, cache_dir):
-        """The artifact key workers can boot from alone, or None.
-
-        Slim (key-only) worker initargs require a mapped sidecar that
-        carries the grammar source; when the parent's own host is not
-        mmap-backed (first compile in an unwritable directory, sourceless
-        sidecar from an older writer) the probe mmaps the file once to
-        check, and failing that the engine falls back to shipping the
-        grammar text.
-        """
-        from repro.cache import ArtifactStore, artifact_key
-
-        key = artifact_key(grammar_text, name, options,
-                           rewrite_left_recursion)
-        mapped = self.host.mapped_artifact
-        if mapped is not None:
-            return key if mapped.grammar_source is not None else None
-        store = ArtifactStore(cache_dir, sweep_orphans=False)
-        probe = store.load_mapped(key)
-        if probe is None:
-            return None
-        usable = probe.grammar_source is not None
-        probe.close()
-        return key if usable else None
+        self._grammar_text = grammar_text
+        self._key = artifact_key(grammar_text, name, options,
+                                 rewrite_left_recursion)
+        on_disk = cache_dir is not None and os.path.exists(
+            ArtifactStore(cache_dir, sweep_orphans=False).path_for(self._key))
+        # Slim initargs: the image carries the grammar text, so the
+        # pickled config ships neither source nor tables.
+        self._config = WorkerConfig(
+            name, options, rewrite_left_recursion, strict,
+            cache_dir if on_disk else None, self._key if on_disk else None,
+            rule_name, budget, recover, chaos=chaos)
 
     # -- corpus preparation ----------------------------------------------------
 
@@ -310,7 +282,28 @@ class BatchEngine:
         return {i: context.run_chunk(chunk) for i, chunk in enumerate(chunks)}
 
     def _run_pool(self, chunks):
-        """Pooled execution with crash tolerance.
+        """Pooled execution, every worker booted from the artifact image.
+
+        Without an image in ``cache_dir`` (none given, or unwritable),
+        the image is published into a private temporary directory for
+        the length of this call.
+        """
+        if self._config.artifact_key is not None:
+            return self._supervise(chunks, self._config)
+        with tempfile.TemporaryDirectory(prefix="llstar-batch-") as private:
+            ArtifactStore(private, sweep_orphans=False).save(
+                self._key, artifact_to_dict(
+                    self.host.grammar, self.host.analysis,
+                    self.host.lexer_spec,
+                    grammar_fingerprint(self._grammar_text,
+                                        self._config.name)),
+                self._grammar_text)
+            return self._supervise(
+                chunks, self._config.booting_from(private, self._key))
+
+    def _supervise(self, chunks, config):
+        """Run ``chunks`` on pools booted from ``config``, with crash
+        tolerance.
 
         A worker death breaks the whole ``ProcessPoolExecutor`` —
         *every* in-flight future raises :class:`BrokenProcessPool`, not
@@ -325,7 +318,7 @@ class BatchEngine:
         remaining = list(range(len(chunks)))
         rebuilds, degraded = 0, False
         while remaining:
-            remaining = self._pool_pass(chunks, remaining, outcomes)
+            remaining = self._pool_pass(chunks, remaining, outcomes, config)
             if not remaining:
                 break
             if rebuilds >= self.max_pool_rebuilds:
@@ -333,14 +326,14 @@ class BatchEngine:
                 # finish the stragglers inline (reduced concurrency, but
                 # per-input isolation semantics are unchanged).
                 degraded = True
-                context = WorkerContext(self._config, host=self.host)
+                context = WorkerContext(config, host=self.host)
                 for index in remaining:
                     outcomes[index] = context.run_chunk(chunks[index])
                 break
             rebuilds += 1
         return outcomes, rebuilds, degraded
 
-    def _pool_pass(self, chunks, indexes, outcomes):
+    def _pool_pass(self, chunks, indexes, outcomes, config):
         """One pool lifetime: run ``indexes`` until done or the pool
         breaks.  Returns the (ordered) chunk indexes lost to breakage."""
         window = self.jobs * self.inflight_per_worker
@@ -348,7 +341,7 @@ class BatchEngine:
         pool_dead = False
         with ProcessPoolExecutor(max_workers=self.jobs,
                                  initializer=initialize_worker,
-                                 initargs=(self._config,)) as pool:
+                                 initargs=(config,)) as pool:
             pending: Dict[object, int] = {}
 
             def drain(done_set):

@@ -1,10 +1,10 @@
 """Pool-worker half of the batch engine.
 
-A worker process warm-starts exactly once: the pool initializer builds
-one :class:`~repro.api.ParserHost` per process — from the artifact cache
-directory when the engine has one, otherwise from the serialized
-artifact payload shipped inside :class:`WorkerConfig` — and every chunk
-the worker receives parses against that host.  Static analysis
+A worker process warm-starts exactly once: the pool initializer maps the
+artifact image the parent published (:func:`repro.api.host_from_cache_key`,
+given only the cache directory and the artifact key — the image carries
+the grammar text) and every chunk the worker receives parses against
+that host.  Static analysis
 (:class:`~repro.analysis.construction.DecisionAnalyzer`) never runs in a
 worker; a batch's analysis cost is paid once, in the parent.
 
@@ -38,39 +38,28 @@ from repro.runtime.telemetry import LATENCY_BUCKETS, ParseTelemetry
 class WorkerConfig:
     """Everything a worker needs to warm-start, in picklable form.
 
-    Exactly one of ``artifact_key`` / ``cache_dir`` / ``payload`` drives
-    the warm start, tried in that order:
-
-    * ``artifact_key`` (with ``cache_dir``) — the slim mode: the worker
-      ``mmap``-s the binary ``.llt`` sidecar the parent already
-      published, which carries the grammar text itself, so the pickled
-      initargs ship no grammar and no payload and N workers share one
-      page-cache copy of the tables;
-    * ``cache_dir`` alone — legacy disk warm start through
-      :func:`repro.api.compile_grammar` with the grammar text;
-    * ``payload`` — the parent ships the serialized artifact dict
-      directly (no cache directory at all).
-
-    Either way the worker never analyzes.
+    The worker boots from ``(cache_dir, artifact_key)`` alone: it maps
+    the ``.llt`` image the parent published, which carries the grammar
+    text, so the pickled initargs ship no grammar and no tables and N
+    workers share one page-cache copy of the tables.  The remaining
+    fields are the compile flags of the parent's host and the per-input
+    parse settings.
     """
 
-    __slots__ = ("grammar_text", "name", "options", "rewrite_left_recursion",
-                 "strict", "cache_dir", "payload", "artifact_key",
-                 "rule_name", "budget", "recover", "chaos")
+    __slots__ = ("name", "options", "rewrite_left_recursion", "strict",
+                 "cache_dir", "artifact_key", "rule_name", "budget",
+                 "recover", "chaos")
 
-    def __init__(self, grammar_text: Optional[str], name: Optional[str],
-                 options, rewrite_left_recursion: bool, strict: bool,
-                 cache_dir: Optional[str], payload: Optional[dict],
+    def __init__(self, name: Optional[str], options,
+                 rewrite_left_recursion: bool, strict: bool,
+                 cache_dir: Optional[str], artifact_key: Optional[str],
                  rule_name: Optional[str], budget: Optional[ParserBudget],
-                 recover: bool, chaos=None,
-                 artifact_key: Optional[str] = None):
-        self.grammar_text = grammar_text
+                 recover: bool, chaos=None):
         self.name = name
         self.options = options
         self.rewrite_left_recursion = rewrite_left_recursion
         self.strict = strict
         self.cache_dir = cache_dir
-        self.payload = payload
         self.artifact_key = artifact_key
         self.rule_name = rule_name
         self.budget = budget
@@ -80,56 +69,33 @@ class WorkerConfig:
         # typed WorkerCrashError rows instead of dying.
         self.chaos = chaos
 
+    def booting_from(self, cache_dir: str, artifact_key: str) -> "WorkerConfig":
+        """A copy of this config whose workers boot from the image
+        ``artifact_key`` in ``cache_dir``."""
+        return WorkerConfig(self.name, self.options,
+                            self.rewrite_left_recursion, self.strict,
+                            cache_dir, artifact_key, self.rule_name,
+                            self.budget, self.recover, self.chaos)
+
 
 class WorkerContext:
     """One process's warm state: the host plus per-chunk instrument set."""
 
     def __init__(self, config: WorkerConfig, host=None):
-        from repro.api import (
-            compile_grammar,
-            host_from_artifact,
-            host_from_cache_key,
-        )
-        from repro.exceptions import ArtifactFormatError
+        from repro.api import host_from_cache_key
 
         self.config = config
         # Inline contexts receive the parent's host; only a real pool
         # worker builds its own (and only a real worker may be killed by
-        # an injected fault — see run_chunk).
+        # an injected fault — see run_chunk).  A worker whose image is
+        # gone raises, and the engine's pool-rebuild/degrade machinery
+        # finishes the corpus inline.
         self.in_worker = host is None
-        if host is not None:
-            self.host = host
-        elif config.artifact_key is not None and config.cache_dir is not None:
-            try:
-                self.host = host_from_cache_key(
-                    config.cache_dir, config.artifact_key, name=config.name,
-                    options=config.options,
-                    rewrite_left_recursion=config.rewrite_left_recursion,
-                    strict=config.strict)
-            except ArtifactFormatError:
-                # The sidecar the parent verified was evicted between pool
-                # start and this worker's boot.  With the grammar text we
-                # can still warm-start (or recompile) through the store;
-                # a slim config without it surfaces the failure to the
-                # engine's pool-rebuild/degrade machinery.
-                if config.grammar_text is None:
-                    raise
-                self.host = compile_grammar(
-                    config.grammar_text, name=config.name,
-                    options=config.options,
-                    rewrite_left_recursion=config.rewrite_left_recursion,
-                    strict=config.strict, cache_dir=config.cache_dir)
-        elif config.cache_dir is not None:
-            self.host = compile_grammar(
-                config.grammar_text, name=config.name, options=config.options,
-                rewrite_left_recursion=config.rewrite_left_recursion,
-                strict=config.strict, cache_dir=config.cache_dir)
-        else:
-            self.host = host_from_artifact(
-                config.payload, config.grammar_text, name=config.name,
-                options=config.options,
-                rewrite_left_recursion=config.rewrite_left_recursion,
-                strict=config.strict)
+        self.host = host if host is not None else host_from_cache_key(
+            config.cache_dir, config.artifact_key, name=config.name,
+            options=config.options,
+            rewrite_left_recursion=config.rewrite_left_recursion,
+            strict=config.strict)
 
     def run_chunk(self, chunk: Sequence[Tuple[str, str]]):
         """Parse one chunk of ``(input_id, text)`` pairs, tree-free.

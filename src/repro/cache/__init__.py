@@ -17,11 +17,11 @@ round-trip suite in ``tests/test_cache_roundtrip.py`` proves parse trees
 and profiler events match on every bundled grammar); any stale or
 corrupt entry is evicted and recompiled, never fatal.
 
-Alongside each ``<key>.json`` entry the store publishes a ``<key>.llt``
-binary sidecar (:mod:`repro.cache.binary`): the same payload as one
-checksummed flat buffer whose int32 table sections are ``mmap``-ed and
-sliced zero-copy into the execution index, so N processes warm-starting
-the same grammar share a single page-cache copy of the tables.
+Each entry is one ``<key>.llt`` image (:mod:`repro.cache.binary`): the
+payload and the grammar source as one checksummed flat buffer whose
+int32 table sections are ``mmap``-ed and sliced zero-copy into the
+execution index, so N processes warm-starting the same grammar share a
+single page-cache copy of the tables.
 """
 
 from repro.cache.binary import (
@@ -33,10 +33,8 @@ from repro.cache.serialize import (
     SCHEMA_VERSION,
     analysis_from_artifact,
     artifact_to_dict,
-    artifact_to_json,
     grammar_fingerprint,
     lexer_from_artifact,
-    upgrade_payload,
 )
 from repro.cache.store import ArtifactStore, CacheDiagnostic, artifact_key
 
@@ -50,8 +48,6 @@ __all__ = [
     "artifact_key",
     "encode_artifact",
     "artifact_to_dict",
-    "artifact_to_json",
     "grammar_fingerprint",
     "lexer_from_artifact",
-    "upgrade_payload",
 ]

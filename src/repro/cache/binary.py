@@ -1,34 +1,31 @@
-"""Zero-copy binary image of a compiled-grammar artifact (``.llt``).
+"""The compiled-artifact image (``.llt``): one checksummed file per entry.
 
-The JSON artifact (:mod:`repro.cache.serialize`) is the canonical,
-diffable, schema-versioned form — but loading it costs a full
-``json.loads`` over every CSR array plus a Python ``tuple`` per array
-per worker, and each worker holds a private heap copy of the result.
-This module compiles the same payload into one contiguous binary buffer
-that loads by ``mmap``:
+The image is the only on-disk form of a compiled grammar.  It holds the
+artifact payload (:func:`repro.cache.serialize.artifact_to_dict`) and
+the grammar source in one contiguous buffer that loads by ``mmap``:
 
 * all flat-table arrays (the decision tables' CSR rows, the lexer
   table's range rows — everything :data:`ARRAY_KEYS` names) are stored
   as raw little-endian int32 sections, 8-byte aligned, and come back as
   zero-copy ``memoryview`` slices over the mapping;
 * everything else — grammar hash/name, the interned semantic-context
-  pool, record kinds, diagnostics, lexer accept labels, and (so batch
-  workers can warm-start with *no* other input) optionally the grammar
+  pool, record kinds, diagnostics, lexer accept labels, and the grammar
   source text — rides in one small JSON ``meta`` blob whose array
   fields are replaced by ``{"$sec": n}`` section references.
 
 Because the arrays are never parsed or copied, N pool workers mapping
 the same file share one physical page-cache copy; per-worker private
 memory is only the (lazily built) execution indexes of the decisions a
-worker actually exercises.
+worker actually exercises.  Because the source rides along, a process
+holding only the file (a batch pool worker keyed by artifact hash) can
+rebuild the full :class:`~repro.api.ParserHost`.
 
 Integrity is a CRC32 over the entire file (header included, with the
 checksum field zeroed during computation): any single flipped or
 truncated byte fails the load with a typed
 :class:`~repro.exceptions.ArtifactFormatError`, which the store maps to
-evict-and-recompile.  Because the checksum makes damage detectable at
-map time, loaders may skip the O(n) structural re-validation the JSON
-path performs (the writer validated at compile time).
+evict-and-recompile.  The CRC detects accidental damage, not tampering;
+loaders skip the O(n) structural table validation and rely on it.
 
 Layout (all integers little-endian)::
 
@@ -41,10 +38,9 @@ Layout (all integers little-endian)::
 
 Version-bump rules: :data:`LLT_FORMAT_VERSION` gates the *container*
 (header/section layout); ``TABLE_FORMAT_VERSION`` and ``SCHEMA_VERSION``
-gate the *content* exactly as they do for the JSON artifact.  A reader
-rejects any mismatch — there is no upgrade path for binary images; the
-JSON sidecar is the durable form and the ``.llt`` is regenerated from
-it (or from a recompile) whenever versions move.
+gate the *content*.  A reader rejects any mismatch and there is no
+upgrade path: the cache is pure, so the store evicts a mismatched image
+and the next compile rewrites it.
 """
 
 from __future__ import annotations
@@ -56,7 +52,7 @@ import struct
 import sys
 import zlib
 from array import array
-from typing import List, Optional
+from typing import List
 
 from repro.cache.serialize import SCHEMA_VERSION
 from repro.exceptions import ArtifactFormatError
@@ -115,16 +111,10 @@ def _strip_arrays(obj, sections: List[array]):
     return obj
 
 
-def encode_artifact(payload: dict, grammar_source: Optional[str] = None) -> bytes:
-    """Compile a schema-``SCHEMA_VERSION`` artifact payload into one
-    mmap-able ``.llt`` buffer.
-
-    ``grammar_source`` embeds the grammar text so a consumer holding
-    only the file (a batch pool worker keyed by artifact hash) can
-    rebuild the full :class:`~repro.api.ParserHost`; pass None to write
-    a table-only image (sufficient for ``compile_grammar`` warm starts,
-    which always hold the source).
-    """
+def encode_artifact(payload: dict, grammar_source: str) -> bytes:
+    """Compile a schema-``SCHEMA_VERSION`` artifact payload and the
+    grammar text it was compiled from into one mmap-able ``.llt``
+    buffer."""
     if payload.get("schema") != SCHEMA_VERSION:
         raise ArtifactFormatError(
             "can only encode schema %d payloads, got %r"
@@ -172,10 +162,11 @@ def _file_crc(buf) -> int:
 
 class MappedArtifact:
     """A ``.llt`` file mapped read-only, decoded to a payload dict whose
-    flat-table arrays are zero-copy ``memoryview`` slices of the map.
+    flat-table arrays are zero-copy ``memoryview`` slices of the map,
+    plus the grammar source it was compiled from.
 
     Construction verifies the container end to end (magic, versions,
-    bounds, whole-file CRC32) and raises
+    bounds, whole-file CRC32, payload and source present) and raises
     :class:`~repro.exceptions.ArtifactFormatError` on any damage, so a
     successfully constructed instance is safe to execute without
     re-validating table structure.  The instance keeps the mapping
@@ -204,7 +195,9 @@ class MappedArtifact:
             self.payload = meta.get("payload")
             self.grammar_source = meta.get("grammar_source")
             if not isinstance(self.payload, dict):
-                raise ArtifactFormatError("mapped artifact has no payload")
+                raise self._fail("no payload")
+            if not isinstance(self.grammar_source, str):
+                raise self._fail("no grammar source")
         except BaseException:
             self.close()
             raise

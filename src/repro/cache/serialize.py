@@ -1,36 +1,35 @@
-"""Versioned serialization of compiled-grammar artifacts.
+"""Serialization of compiled-grammar artifacts.
 
 The expensive part of :func:`repro.api.compile_grammar` is the per-decision
 LL(*) subset construction (Table 1 of the paper: seconds per real
 grammar).  Everything that construction produces — lookahead DFAs,
 decision classifications, hoisted semantic contexts, diagnostics, and the
 lexer DFA — is pure data over token types, rule names, and predicate
-strings, so it round-trips losslessly through JSON-safe dicts.
+strings, so it round-trips losslessly through a JSON-safe dict.
 
-Since schema 2 the stored form *is* the flat execution core
-(:mod:`repro.tables`): decision tables plus the shared semantic-context
-pool, and the lexer DFA as a flat :class:`~repro.tables.lexer.LexerTable`.
-A warm start deserializes straight into the arrays the parser and
-tokenizer execute — no object-graph DFA is ever rebuilt unless a tool
-asks for one.  Schema-1 entries (object-graph dicts) are upgraded in
-place by :func:`upgrade_payload`: the store recompiles their tables on
-load rather than throwing the analysis away.
+The stored form *is* the flat execution core (:mod:`repro.tables`):
+decision tables plus the shared semantic-context pool, and the lexer DFA
+as a flat :class:`~repro.tables.lexer.LexerTable`.  The store writes the
+dict :func:`artifact_to_dict` builds as a checksummed ``.llt`` image
+(:mod:`repro.cache.binary`), and a warm start grafts the image's arrays
+straight into the tables the parser and tokenizer execute — no
+object-graph DFA is ever rebuilt unless a tool asks for one.
 
 What is *not* stored: the grammar object and the ATN.  Both are cheap to
-re-derive from the grammar text (parse + transforms + Figure 7
-construction) and carry live Python objects; a warm start re-runs that
-front half via :meth:`GrammarAnalyzer.prepare_atn` and grafts the stored
-records back on, skipping :class:`DecisionAnalyzer` entirely.
+re-derive from the grammar text the image carries (parse + transforms +
+Figure 7 construction) and hold live Python objects; a warm start re-runs
+that front half via :meth:`GrammarAnalyzer.prepare_atn` and grafts the
+stored records back on, skipping :class:`DecisionAnalyzer` entirely.
 
 ``SCHEMA_VERSION`` gates compatibility: any change to the dict layout of
-any participating ``to_dict`` must bump it.  The store either upgrades a
-one-version-old entry or evicts it — an unknown schema is never parsed.
+any participating ``to_dict`` must bump it.  An image of another schema
+is evicted as ``corrupt`` and recompiled — the cache is pure, so there is
+no upgrade path.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Optional
 
 from repro.analysis.construction import AnalysisOptions
@@ -38,8 +37,7 @@ from repro.analysis.decisions import AnalysisResult, GrammarAnalyzer
 from repro.exceptions import ArtifactFormatError
 from repro.grammar.model import Grammar
 from repro.lexgen.lexer import LexerSpec
-from repro.tables.lexer import LexerTable, compile_lexer_table
-from repro.tables.tableset import TABLE_FORMAT_VERSION
+from repro.tables.lexer import LexerTable
 
 #: Bump whenever any participating ``to_dict`` layout changes.
 #: 1 — object-graph DFA dicts; 2 — flat tables (repro.tables).
@@ -73,33 +71,26 @@ def artifact_to_dict(grammar: Grammar, analysis: AnalysisResult,
     }
 
 
-def artifact_to_json(payload: dict) -> str:
-    """Deterministic text form (sorted keys, no float jitter in layout)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
 def analysis_from_artifact(grammar: Grammar, payload: dict,
-                           options: Optional[AnalysisOptions] = None,
-                           trusted: bool = False) -> AnalysisResult:
-    """Warm-start the analysis half of a compile from a cached payload.
+                           options: Optional[AnalysisOptions] = None
+                           ) -> AnalysisResult:
+    """Warm-start the analysis half of a compile from a mapped payload.
 
     Runs the same grammar preparation as a cold compile (PEG mode,
     synpred erasure, ATN build — the grammar must end up mutated exactly
     as the cold pipeline leaves it, since the parser executes synpred
     rules from the grammar), then attaches the deserialized records.
+    The payload comes from a checksummed image, so per-table structural
+    validation is skipped and array fields stay zero-copy ``memoryview``
+    rows.
 
     Raises on any inconsistency between payload and grammar; callers
     treat that as a corrupt/stale entry and fall back to a cold compile.
-    Format-level faults (wrong schema, damaged tables) raise the typed
-    :class:`~repro.exceptions.ArtifactFormatError`; grammar-mismatch
-    faults (the entry belongs to different text) raise plain
-    ``ValueError`` — the cache layer maps the former to a ``corrupt``
-    diagnostic and the latter to ``stale``.
-
-    ``trusted`` marks a payload whose bytes carry their own integrity
-    guarantee (the checksummed mmap image): per-table structural
-    validation is skipped and array fields may be zero-copy
-    ``memoryview`` rows.
+    Format-level faults (wrong schema, table version skew) raise the
+    typed :class:`~repro.exceptions.ArtifactFormatError`;
+    grammar-mismatch faults (the entry belongs to different text) raise
+    plain ``ValueError`` — the cache layer maps the former to a
+    ``corrupt`` diagnostic and the latter to ``stale``.
     """
     if payload.get("schema") != SCHEMA_VERSION:
         raise ArtifactFormatError("cache schema %r != %d"
@@ -111,60 +102,16 @@ def analysis_from_artifact(grammar: Grammar, payload: dict,
         raise ValueError("cache entry vocabulary does not match grammar")
     atn = GrammarAnalyzer(grammar, options).prepare_atn()
     return AnalysisResult.from_dict(grammar, atn, payload["analysis"],
-                                    validate=not trusted)
+                                    validate=False)
 
 
-def lexer_from_artifact(grammar: Grammar, payload: dict,
-                        trusted: bool = False) -> Optional[LexerSpec]:
-    """Rebuild the lexer spec from a cached payload (None for token-stream
+def lexer_from_artifact(grammar: Grammar,
+                        payload: dict) -> Optional[LexerSpec]:
+    """Rebuild the lexer spec from a mapped payload (None for token-stream
     grammars); the vocabulary comes from the freshly parsed grammar."""
     if payload.get("lexer") is None:
         return None
-    table = LexerTable.from_dict(payload["lexer"], validate=not trusted)
+    table = LexerTable.from_dict(payload["lexer"], validate=False)
     # No eager to_lexer_dfa(): the object-model DFA is rebuilt lazily only
     # if a tool asks, so mmap-backed tables stay zero-copy end to end.
     return LexerSpec(None, grammar.vocabulary, table=table)
-
-
-def upgrade_payload(payload: dict) -> dict:
-    """Upgrade a schema-1 payload (object-graph dicts) to the current
-    schema by compiling flat tables from the stored DFAs.
-
-    The analysis the old entry paid for is preserved verbatim — the
-    lookahead machines are identical, only their encoding changes.
-    Raises on anything that does not convert cleanly; the store treats
-    that as an unusable entry and evicts.
-    """
-    from repro.analysis.dfa_model import DFA
-    from repro.lexgen.dfa import LexerDFA
-    from repro.tables.lookahead import compile_decision_table
-    from repro.tables.pool import SemCtxPool
-
-    if payload.get("schema") != 1:
-        raise ArtifactFormatError("can only upgrade schema 1, got %r"
-                                  % payload.get("schema"))
-    analysis = payload["analysis"]
-    pool = SemCtxPool()
-    records = []
-    for rd in analysis["records"]:
-        table = compile_decision_table(DFA.from_dict(rd["dfa"]), pool)
-        records.append({
-            "decision": rd["decision"],
-            "rule_name": rd["rule_name"],
-            "kind": rd["kind"],
-            "table": table.to_dict(),
-        })
-    upgraded = dict(payload)
-    upgraded["schema"] = SCHEMA_VERSION
-    upgraded["analysis"] = {
-        "grammar_name": analysis["grammar_name"],
-        "elapsed_seconds": analysis["elapsed_seconds"],
-        "table_version": TABLE_FORMAT_VERSION,
-        "pool": pool.to_dict(),
-        "records": records,
-        "diagnostics": analysis["diagnostics"],
-    }
-    if payload.get("lexer") is not None:
-        upgraded["lexer"] = compile_lexer_table(
-            LexerDFA.from_dict(payload["lexer"])).to_dict()
-    return upgraded

@@ -1,19 +1,21 @@
 """On-disk store for compiled-grammar artifacts.
 
-Entries are keyed by ``(grammar content hash, AnalysisOptions
-fingerprint, compile flags)``: editing the grammar text or changing any
-analysis tunable lands on a different file name, so stale entries are
-simply never looked at (and a sweeper may delete them at will — the
-directory is a pure cache, safe to ``rm -rf`` between runs).  Schema
-compatibility is handled at load time instead: a one-version-old entry
-is upgraded in place (see :func:`repro.cache.serialize.upgrade_payload`),
-anything older or newer is evicted.
+Each entry is one ``<key>.llt`` image (:mod:`repro.cache.binary`): the
+artifact payload plus the grammar source, checksummed, with its table
+arrays ``mmap``-ed zero-copy on warm start.  Entries are keyed by
+``(grammar content hash, AnalysisOptions fingerprint, compile flags)``:
+editing the grammar text or changing any analysis tunable lands on a
+different file name, so stale entries are simply never looked at (and a
+sweeper may delete them at will — the directory is a pure cache, safe to
+``rm -rf`` between runs).  ``<key>.json`` files written by older versions
+are ignored.
 
 Writes are atomic (temp file + ``os.replace``) so a crashed or
 concurrent writer can never publish a half-written entry.  Reads are
-corruption-tolerant: any unreadable, unparsable, or schema-mismatched
-entry is evicted and reported as a miss — a bad cache file must never
-make :func:`repro.api.compile_grammar` fail.
+corruption-tolerant: an image that does not decode — truncated, bit
+flipped, or written under another format, table, or schema version — is
+evicted and reported as a miss; a bad cache file must never make
+:func:`repro.api.compile_grammar` fail.
 """
 
 from __future__ import annotations
@@ -27,33 +29,22 @@ from typing import List, Optional
 
 from repro.analysis.construction import AnalysisOptions
 from repro.cache.binary import MappedArtifact, encode_artifact
-from repro.cache.serialize import (
-    SCHEMA_VERSION,
-    artifact_to_json,
-    grammar_fingerprint,
-    upgrade_payload,
-)
+from repro.cache.serialize import grammar_fingerprint
 from repro.exceptions import ArtifactFormatError
 
 
 class CacheDiagnostic:
     """One cache-health event: why a stored entry could not be used.
 
-    ``corrupt``: the file existed but did not decode — an unreadable or
-    unparsable ``.json`` entry, a schema-valid entry whose table payload
-    fails structural validation, or a damaged/truncated ``.llt`` binary
-    sidecar (bad magic, checksum mismatch, out-of-bounds section);
-    ``schema``: it parsed but was written by an incompatible schema
-    version; ``stale``: it deserialized but did not match the grammar it
-    claimed to be for.  All three evict the entry (both the ``.json``
-    and its ``.llt`` sidecar) and fall back to a cold compile — the
-    diagnostic is how tooling distinguishes "first compile" from
-    "something damaged the cache".  ``upgraded``: the
-    entry was one schema version old and was converted in place (its
-    analysis was preserved; only the encoding changed) — the load still
-    counts as a hit.  ``orphan``: a ``.tmp`` spill from a writer that
-    died between ``mkstemp`` and the atomic ``os.replace``; swept
-    (age-bounded) on store init.
+    ``corrupt``: the image existed but did not decode (bad magic,
+    checksum mismatch, out-of-bounds section, container/table/schema
+    version skew) or its payload failed to graft onto the grammar
+    (table version skew, duplicate pool entries); ``stale``: it decoded
+    but belongs to other grammar text.  Both evict the entry and fall
+    back to a cold compile — the diagnostic is how tooling distinguishes
+    "first compile" from "something damaged the cache".  ``orphan``: a
+    ``.tmp`` spill from a writer that died between ``mkstemp`` and the
+    atomic ``os.replace``; swept (age-bounded) on store init.
 
     The serve layer's grammar registry reuses the same diagnostic type
     for its in-memory artifact handling: ``evicted`` (a compiled host
@@ -64,10 +55,8 @@ class CacheDiagnostic:
     """
 
     CORRUPT = "corrupt"
-    SCHEMA = "schema-mismatch"
     STALE = "stale"
     ORPHAN = "orphan-temp"
-    UPGRADED = "schema-upgraded"
     EVICTED = "evicted"
     LOAD_FAILED = "load-failed"
 
@@ -91,10 +80,10 @@ def artifact_key(source: str, name: Optional[str],
     (content hash), the analysis tunables, and the left-recursion-rewrite
     flag.  ``strict`` and ``parallel`` are deliberately excluded —
     neither changes the result, only whether errors raise / how fast
-    analysis runs.  The schema version is deliberately *not* part of the
-    key either: compatibility is a load-time concern
-    (:meth:`ArtifactStore.load` upgrades a one-version-old entry in
-    place instead of orphaning it under a dead key).
+    analysis runs.  The format versions are deliberately *not* part of
+    the key either: the image header carries them, and a mismatch
+    evicts the entry at load time instead of orphaning it under a dead
+    key.
     """
     opts = options or AnalysisOptions()
     material = json.dumps({
@@ -106,16 +95,7 @@ def artifact_key(source: str, name: Optional[str],
 
 
 class ArtifactStore:
-    """A directory of ``<key>.json`` compiled-artifact entries.
-
-    Each entry may carry a ``<key>.llt`` binary sidecar
-    (:mod:`repro.cache.binary`): the same payload as a versioned,
-    checksummed flat buffer whose int32 table sections are ``mmap``-ed
-    zero-copy on warm start.  The JSON entry stays the source of truth —
-    a missing or damaged sidecar degrades to the JSON path and is
-    regenerated on the next save; a damaged sidecar additionally evicts
-    the whole entry (both files), because the two were published
-    together and bit rot rarely stops at one file.
+    """A directory of ``<key>.llt`` compiled-artifact images.
 
     ``telemetry`` (a :class:`~repro.runtime.telemetry.ParseTelemetry`)
     receives one :class:`~repro.runtime.telemetry.CacheEvent` per store
@@ -144,10 +124,7 @@ class ArtifactStore:
             self._sweep_orphan_temps(age)
 
     def path_for(self, key: str) -> str:
-        return os.path.join(self.cache_dir, key + ".json")
-
-    def llt_path_for(self, key: str) -> str:
-        """Path of the binary mmap sidecar for ``key``."""
+        """Path of the ``.llt`` image for ``key``."""
         return os.path.join(self.cache_dir, key + ".llt")
 
     def note(self, kind: str, key: str, detail: str) -> CacheDiagnostic:
@@ -194,124 +171,40 @@ class ArtifactStore:
         return swept
 
     def load_mapped(self, key: str) -> Optional[MappedArtifact]:
-        """Map the binary sidecar for ``key``, or None.
+        """Map the image for ``key``; None on a miss *or* any corruption.
 
-        A missing sidecar is *not* a cache miss — the JSON entry may
-        still warm-start the compile (and regenerate the sidecar), so
-        nothing is recorded and the caller falls through to
-        :meth:`load`.  A sidecar that exists but does not decode
-        (truncated, bad magic, checksum mismatch, unknown version) is
-        treated exactly like a corrupt JSON entry: evict the whole key
-        (both files) and report ``corrupt`` — never raise.
+        An image that exists but does not decode (truncated, bad magic,
+        checksum mismatch, unknown version) is evicted so the next
+        compile rewrites it, and reported as ``corrupt`` in
+        :attr:`diagnostics`; no exception escapes.
         """
-        path = self.llt_path_for(key)
         try:
-            mapped = MappedArtifact(path)
+            mapped = MappedArtifact(self.path_for(key))
         except FileNotFoundError:
+            self._record("miss", key)
             return None
         except (OSError, ArtifactFormatError) as e:
             self.note(CacheDiagnostic.CORRUPT, key,
-                      "unusable mmap sidecar (%s); evicted"
+                      "unusable image (%s); evicted"
                       % (e if isinstance(e, ArtifactFormatError)
                          else e.__class__.__name__))
             self.evict(key)
             return None
-        self._record("hit", key, "mmap")
+        self._record("hit", key)
         return mapped
 
-    def load(self, key: str) -> Optional[dict]:
-        """The payload for ``key``, or None on miss *or* any corruption.
+    def save(self, key: str, payload: dict, source: str) -> bool:
+        """Atomically publish ``payload`` and the grammar ``source`` as
+        the image for ``key``; True when it was published.
 
-        A truncated, unparsable, or wrong-schema file is evicted so the
-        next compile rewrites it; no exception escapes.  Every eviction
-        is recorded in :attr:`diagnostics`.
-        """
-        path = self.path_for(key)
-        try:
-            with open(path, "r", encoding="utf-8") as f:
-                payload = json.load(f)
-        except FileNotFoundError:
-            self._record("miss", key)
-            return None
-        except (OSError, ValueError, UnicodeDecodeError) as e:
-            self.note(CacheDiagnostic.CORRUPT, key,
-                      "unreadable entry (%s); evicted" % e.__class__.__name__)
-            self.evict(key)
-            return None
-        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA_VERSION:
-            schema = (payload.get("schema") if isinstance(payload, dict)
-                      else type(payload).__name__)
-            if isinstance(payload, dict) and schema == SCHEMA_VERSION - 1:
-                # One version old: recompile the flat tables from the
-                # stored object-graph dicts rather than discarding a
-                # paid-for analysis.  Anything that does not convert
-                # cleanly falls through to eviction below.
-                try:
-                    upgraded = upgrade_payload(payload)
-                except Exception as e:
-                    self.note(CacheDiagnostic.SCHEMA, key,
-                              "schema %r entry failed upgrade (%s); evicted"
-                              % (schema, e.__class__.__name__))
-                    self.evict(key)
-                    return None
-                self.note(CacheDiagnostic.UPGRADED, key,
-                          "schema %r entry upgraded to %d in place"
-                          % (schema, SCHEMA_VERSION))
-                self.save(key, upgraded)
-                self._record("hit", key)
-                return upgraded
-            self.note(CacheDiagnostic.SCHEMA, key,
-                      "schema %r != %d; evicted" % (schema, SCHEMA_VERSION))
-            self.evict(key)
-            return None
-        self._record("hit", key)
-        return payload
-
-    def save(self, key: str, payload: dict,
-             source: Optional[str] = None) -> str:
-        """Atomically publish ``payload`` under ``key``; returns the path.
-
-        Best-effort: an unwritable cache directory downgrades to a no-op
-        (the compile already succeeded; caching must not break it).
-        When ``source`` (the grammar text) is given, the binary ``.llt``
-        sidecar is published alongside so the next warm start — and
-        batch workers given only the key — can ``mmap`` it.
-        """
-        path = self.path_for(key)
-        try:
-            os.makedirs(self.cache_dir, exist_ok=True)
-            fd, tmp_path = tempfile.mkstemp(
-                prefix=".%s." % key[:16], suffix=".tmp", dir=self.cache_dir)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as f:
-                    f.write(artifact_to_json(payload))
-                os.replace(tmp_path, path)
-                self._record("save", key)
-            except BaseException:
-                try:
-                    os.unlink(tmp_path)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return path
-        if source is not None:
-            self.save_sidecar(key, payload, source)
-        return path
-
-    def save_sidecar(self, key: str, payload: dict,
-                     source: Optional[str] = None) -> bool:
-        """Atomically publish the binary mmap sidecar for ``key``.
-
-        Best-effort like :meth:`save`: False (not an exception) on an
-        unwritable directory or a payload the codec cannot flatten, so
-        sidecar trouble can never fail a compile that already succeeded.
+        Best-effort: an unwritable cache directory or a payload the codec
+        cannot flatten returns False instead of raising (the compile
+        already succeeded; caching must not break it).
         """
         try:
-            blob = encode_artifact(payload, grammar_source=source)
-        except Exception:
+            blob = encode_artifact(payload, source)
+        except (TypeError, ValueError, OverflowError):
             return False
-        path = self.llt_path_for(key)
         try:
             os.makedirs(self.cache_dir, exist_ok=True)
             fd, tmp_path = tempfile.mkstemp(
@@ -319,8 +212,7 @@ class ArtifactStore:
             try:
                 with os.fdopen(fd, "wb") as f:
                     f.write(blob)
-                os.replace(tmp_path, path)
-                self._record("save", key, "mmap")
+                os.replace(tmp_path, self.path_for(key))
             except BaseException:
                 try:
                     os.unlink(tmp_path)
@@ -329,20 +221,17 @@ class ArtifactStore:
                 raise
         except OSError:
             return False
+        self._record("save", key)
         return True
 
     def evict(self, key: str) -> None:
-        """Remove the entry *and* its sidecar: they were published as a
-        pair, and a survivor would shadow the recompile that follows."""
-        removed = False
-        for path in (self.path_for(key), self.llt_path_for(key)):
-            try:
-                os.unlink(path)
-                removed = True
-            except OSError:
-                continue
-        if removed:
-            self._record("evict", key)
+        """Remove the image for ``key`` so the recompile that follows
+        republishes it."""
+        try:
+            os.unlink(self.path_for(key))
+        except OSError:
+            return
+        self._record("evict", key)
 
     def __repr__(self):
         return "ArtifactStore(%r)" % self.cache_dir

@@ -59,24 +59,13 @@ class LexerDFAState:
         return self.targets[i] if i >= 0 else -1
 
     def to_dict(self) -> dict:
-        """JSON-safe form (kept stable for the schema-v1 upgrade path)."""
+        """JSON-safe form (diagnostics and round-trip tests)."""
         return {
             "ivals": [[lo, hi] for lo, hi in zip(self.los, self.his)],
             "targets": list(self.targets),
             "accept": ([self.accept[0], self.accept[1], list(self.accept[2])]
                        if self.accept is not None else None),
         }
-
-    @classmethod
-    def from_dict(cls, state_id: int, data: dict) -> "LexerDFAState":
-        s = cls(state_id)
-        s.los = [lo for lo, _hi in data["ivals"]]
-        s.his = [hi for _lo, hi in data["ivals"]]
-        s.targets = list(data["targets"])
-        if data["accept"] is not None:
-            priority, name, commands = data["accept"]
-            s.accept = (priority, name, tuple(commands))
-        return s
 
     def __repr__(self):
         acc = "!" + self.accept[1] if self.accept else ""
@@ -97,14 +86,6 @@ class LexerDFA:
             "start_id": self.start_id,
             "states": [s.to_dict() for s in self.states],
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "LexerDFA":
-        dfa = cls()
-        dfa.start_id = data["start_id"]
-        dfa.states = [LexerDFAState.from_dict(i, sd)
-                      for i, sd in enumerate(data["states"])]
-        return dfa
 
     def __repr__(self):
         return "LexerDFA(%d states)" % len(self.states)

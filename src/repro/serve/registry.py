@@ -85,7 +85,7 @@ class GrammarRegistry:
                 for name in self.names()},
             "resident_hosts": len(self._hosts),
             # Hosts whose flat tables are zero-copy views of an mmap-ed
-            # ``.llt`` sidecar (shared page cache across processes).
+            # ``.llt`` image (shared page cache across processes).
             "mmap_backed_hosts": sum(
                 1 for h in self._hosts.values()
                 if getattr(h, "mapped_artifact", None) is not None),

@@ -15,8 +15,8 @@ every *execution-time* consumer runs against:
   :class:`DecisionTable` arrays in ``_adaptive_predict`` — no attribute
   chases and no allocation in the inner loop;
 * the tokenizer walks :class:`LexerTable` character-range arrays;
-* :mod:`repro.cache` serializes :class:`TableSet` directly (schema v2),
-  so an artifact stores exactly what the runtime executes;
+* :mod:`repro.cache` stores the same pool and table arrays in its
+  ``.llt`` image, so an artifact holds exactly what the runtime executes;
 * :mod:`repro.codegen` embeds the same ``TableSet`` dict in generated
   modules.
 

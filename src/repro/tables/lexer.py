@@ -129,7 +129,7 @@ class LexerTable:
     @classmethod
     def from_dict(cls, data: dict, validate: bool = True) -> "LexerTable":
         """Rebuild from the stored form; ``validate=False`` (checksummed
-        mmap sources only) skips the structural sweep, mirroring
+        ``.llt`` images only) skips the structural sweep, mirroring
         :meth:`~repro.tables.lookahead.DecisionTable.from_dict`."""
         table = cls(
             data["start"], data["n_states"],

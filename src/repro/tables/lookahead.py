@@ -44,8 +44,8 @@ from repro.tables.pool import SemCtxPool
 
 
 def _row(values) -> Tuple[int, ...]:
-    """Freeze one stored array: lists (JSON deserialization) become
-    tuples; ``memoryview`` rows (zero-copy mmap slices, already
+    """Freeze one stored array: lists (``to_dict`` output, generated
+    ``TABLES`` literals) become tuples; ``memoryview`` rows (zero-copy mmap slices, already
     immutable and int-indexed) are kept as-is so loading never copies
     the mapped pages."""
     return values if isinstance(values, memoryview) else tuple(values)
@@ -237,10 +237,9 @@ class DecisionTable:
     def from_dict(cls, data: dict, pool: SemCtxPool,
                   validate: bool = True) -> "DecisionTable":
         """Rebuild from the stored form.  ``validate=False`` skips the
-        O(states + edges) structural sweep — safe only for sources with
-        their own integrity guarantee (the checksummed mmap image, whose
-        writer validated at compile time); JSON entries, which anyone
-        can edit, always validate."""
+        O(states + edges) structural sweep — for sources with their own
+        integrity check only (the checksummed ``.llt`` image, whose CRC
+        detects accidental damage)."""
         table = cls(
             data["decision"], data["rule"], data["n_alts"], data["start"],
             data["n_states"],

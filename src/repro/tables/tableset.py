@@ -2,9 +2,9 @@
 (+ optional lexer table).
 
 One :class:`TableSet` is the complete execution core for a compiled
-grammar.  The artifact cache serializes it verbatim (inside the schema-v2
-payload), the code generator embeds its dict form in generated modules,
-and both rebuild the identical live tables through :meth:`from_dict`.
+grammar.  The code generator embeds its dict form in generated modules
+and rebuilds the live tables through :meth:`from_dict`; the artifact
+cache stores the same pool and table dicts inside its ``.llt`` image.
 """
 
 from __future__ import annotations

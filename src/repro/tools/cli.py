@@ -252,10 +252,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cache",
                        help="inspect a compiled-artifact cache directory "
-                            "(entries, mmap sidecars, integrity)")
+                            "(.llt images and their integrity)")
     p.add_argument("dir", help="artifact cache directory")
     p.add_argument("--verify", action="store_true",
-                   help="exit 1 if any .llt sidecar fails to decode "
+                   help="exit 1 if any .llt image fails to decode "
                         "(magic/version/checksum/section bounds)")
     p.add_argument("--json", action="store_true",
                    help="print one JSON document instead of a table")
@@ -606,28 +606,22 @@ def cmd_cache(args) -> int:
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    keys = sorted({n.rsplit(".", 1)[0] for n in names
-                   if n.endswith((".json", ".llt")) and not n.startswith(".")})
     entries = []
     corrupt = 0
-    for key in keys:
-        json_path = os.path.join(args.dir, key + ".json")
-        llt_path = os.path.join(args.dir, key + ".llt")
-        json_size = os.path.getsize(json_path) if os.path.exists(json_path) else None
-        entry = {"key": key, "json_bytes": json_size,
-                 "llt_bytes": None, "llt_status": "missing",
-                 "grammar_source": False}
-        if os.path.exists(llt_path):
-            entry["llt_bytes"] = os.path.getsize(llt_path)
-            try:
-                mapped = MappedArtifact(llt_path)
-            except Exception as e:
-                corrupt += 1
-                entry["llt_status"] = "corrupt: %s" % e
-            else:
-                entry["llt_status"] = "ok"
-                entry["grammar_source"] = mapped.grammar_source is not None
-                mapped.close()
+    for name in names:
+        if not name.endswith(".llt") or name.startswith("."):
+            continue
+        path = os.path.join(args.dir, name)
+        entry = {"key": name[:-len(".llt")], "llt_bytes": os.path.getsize(path),
+                 "llt_status": "ok", "grammar_source": False}
+        try:
+            mapped = MappedArtifact(path)
+        except Exception as e:
+            corrupt += 1
+            entry["llt_status"] = "corrupt: %s" % e
+        else:
+            entry["grammar_source"] = True
+            mapped.close()
         entries.append(entry)
     if args.json:
         print(json.dumps({"dir": args.dir, "entries": entries,
@@ -636,14 +630,11 @@ def cmd_cache(args) -> int:
         if not entries:
             print("no cache entries in %s" % args.dir)
         for e in entries:
-            print("%s  json=%s  llt=%s  %s%s" % (
-                e["key"][:16],
-                e["json_bytes"] if e["json_bytes"] is not None else "-",
-                e["llt_bytes"] if e["llt_bytes"] is not None else "-",
-                e["llt_status"],
+            print("%s  llt=%s  %s%s" % (
+                e["key"][:16], e["llt_bytes"], e["llt_status"],
                 " +source" if e["grammar_source"] else ""))
         if corrupt:
-            print("%d corrupt sidecar(s)" % corrupt, file=sys.stderr)
+            print("%d corrupt image(s)" % corrupt, file=sys.stderr)
     return 1 if (args.verify and corrupt) else 0
 
 

@@ -6,6 +6,7 @@ the fold that builds it.
 """
 
 import json
+import os
 import pickle
 
 import pytest
@@ -140,8 +141,6 @@ class TestBatchEngine:
         cache = str(tmp_path / "cache")
         engine = BatchEngine(GRAMMAR, jobs=2, cache_dir=cache)
         config = engine._config
-        assert config.grammar_text is None
-        assert config.payload is None
         assert config.artifact_key is not None
         assert len(pickle.dumps(config)) < 1024  # key + flags, not tables
         report = engine.run(GOOD)
@@ -157,14 +156,27 @@ class TestBatchEngine:
                 for r in shipped.results]
 
     def test_unwritable_cache_dir_falls_back_to_shipping_text(self, tmp_path):
-        """No sidecar can exist, so the engine must not build a slim
-        config the workers cannot boot from."""
+        """No image can exist in the cache directory, so the pooled run
+        publishes one into a private directory and the workers boot from
+        that: no pool death, no inline fallback."""
         blocker = tmp_path / "cache"
         blocker.write_text("not a directory")
         engine = BatchEngine(GRAMMAR, jobs=1, cache_dir=str(blocker))
         assert engine._config.artifact_key is None
-        assert engine._config.grammar_text == GRAMMAR
-        assert engine.run(GOOD[:3]).ok_count == 3
+        report = engine.run(GOOD[:3])
+        assert report.ok_count == 3
+        assert report.pool_rebuilds == 0 and not report.degraded_to_inline
+        assert all(r.worker_pid != os.getpid() for r in report.results)
+
+    def test_inline_engine_builds_nothing_for_workers(self, monkeypatch):
+        from repro.analysis.decisions import AnalysisResult
+
+        def serialize(self):
+            raise AssertionError("jobs=0 serialized the artifact")
+
+        monkeypatch.setattr(AnalysisResult, "to_dict", serialize)
+        report = BatchEngine(GRAMMAR, jobs=0).run(GOOD)
+        assert report.ok_count == len(GOOD)
 
     def test_recover_mode_reports_repaired_inputs(self):
         report = parse_corpus(GRAMMAR, [("fixable", "x = 1 + ; y = 2;")],

@@ -1,10 +1,10 @@
 """Round-trip suite for the compiled-artifact cache (repro.cache).
 
-For every bundled benchmark grammar: serialize the cold-compiled
-artifact, rebuild a host from the JSON form against a freshly parsed
-grammar, and prove the warm host is behaviorally identical — same DFA
-state/edge sets, same decision classifications, same diagnostics, same
-parse trees, same profiler events — without ever constructing a
+For every bundled benchmark grammar: encode the cold-compiled artifact
+as a ``.llt`` image, boot a host from the mapped image against a freshly
+parsed grammar, and prove the warm host is behaviorally identical — same
+DFA state/edge sets, same decision classifications, same diagnostics,
+same parse trees, same profiler events — without ever constructing a
 DecisionAnalyzer.
 """
 
@@ -14,16 +14,13 @@ import pytest
 
 import repro
 from repro.analysis.construction import DecisionAnalyzer
-from repro.api import ParserHost
+from repro.api import host_from_image
 from repro.cache import (
-    analysis_from_artifact,
+    MappedArtifact,
     artifact_to_dict,
-    artifact_to_json,
+    encode_artifact,
     grammar_fingerprint,
-    lexer_from_artifact,
 )
-from repro.grammar.leftrec import eliminate_left_recursion
-from repro.grammar.meta_parser import parse_grammar
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
 from repro.runtime.profiler import DecisionProfiler
@@ -38,21 +35,31 @@ def _profile_stats(profiler):
     }
 
 
+def _image(host, grammar_text):
+    return encode_artifact(artifact_to_dict(
+        host.grammar, host.analysis, host.lexer_spec,
+        grammar_fingerprint(grammar_text)), grammar_text)
+
+
+def _map(blob, directory):
+    path = str(directory / "entry.llt")
+    with open(path, "wb") as f:
+        f.write(blob)
+    return MappedArtifact(path)
+
+
 @pytest.fixture(scope="module", params=PAPER_ORDER)
-def pair(request):
-    """(bench, cold host, warm host) with the warm host rebuilt from JSON."""
+def pair(request, tmp_path_factory):
+    """(bench, cold host, warm host) with the warm host booted from the
+    mapped image."""
     bench = load(request.param)
     cold = bench.compile()
-    payload = json.loads(artifact_to_json(artifact_to_dict(
-        cold.grammar, cold.analysis, cold.lexer_spec,
-        grammar_fingerprint(bench.grammar_text))))
-    grammar = parse_grammar(bench.grammar_text)
-    eliminate_left_recursion(grammar)
+    mapped = _map(_image(cold, bench.grammar_text),
+                  tmp_path_factory.mktemp(request.param))
     before = DecisionAnalyzer.invocations
-    analysis = analysis_from_artifact(grammar, payload)
+    warm = host_from_image(mapped)
     assert DecisionAnalyzer.invocations == before, \
         "warm start must not construct a DecisionAnalyzer"
-    warm = ParserHost(grammar, analysis, lexer_from_artifact(grammar, payload))
     return bench, cold, warm
 
 
@@ -98,12 +105,8 @@ class TestRoundTrip:
 
     def test_serialization_is_deterministic(self, pair):
         bench, cold, _ = pair
-        one = artifact_to_json(artifact_to_dict(
-            cold.grammar, cold.analysis, cold.lexer_spec,
-            grammar_fingerprint(bench.grammar_text)))
-        two = artifact_to_json(artifact_to_dict(
-            cold.grammar, cold.analysis, cold.lexer_spec,
-            grammar_fingerprint(bench.grammar_text)))
+        one = _image(cold, bench.grammar_text)
+        two = _image(cold, bench.grammar_text)
         assert one == two
 
 
@@ -143,25 +146,19 @@ class TestPredicatedRoundTrip:
         A : 'a' ;
     """
 
-    def _hosts(self):
+    def _hosts(self, directory):
         cold = repro.compile_grammar(self.GRAMMAR)
-        payload = json.loads(artifact_to_json(artifact_to_dict(
-            cold.grammar, cold.analysis, cold.lexer_spec,
-            grammar_fingerprint(self.GRAMMAR))))
-        grammar = parse_grammar(self.GRAMMAR)
-        eliminate_left_recursion(grammar)
-        analysis = analysis_from_artifact(grammar, payload)
-        warm = ParserHost(grammar, analysis, lexer_from_artifact(grammar, payload))
+        warm = host_from_image(_map(_image(cold, self.GRAMMAR), directory))
         return cold, warm
 
-    def test_predicate_edges_round_trip(self):
-        cold, warm = self._hosts()
+    def test_predicate_edges_round_trip(self, tmp_path):
+        cold, warm = self._hosts(tmp_path)
         for rc, rw in zip(cold.analysis.records, warm.analysis.records):
             assert rc.dfa.to_dict() == rw.dfa.to_dict()
         assert any(r.dfa.has_predicate_edges() for r in warm.analysis.records)
 
-    def test_predicates_still_evaluate(self):
-        cold, warm = self._hosts()
+    def test_predicates_still_evaluate(self, tmp_path):
+        cold, warm = self._hosts(tmp_path)
         for flags, expected_alt in (({"one": True, "two": False}, 1),
                                     ({"one": False, "two": True}, 2),
                                     ({"one": False, "two": False}, 3)):

@@ -3,12 +3,15 @@
 A cache entry must be invisible after any input that affects the
 compiled artifact changes (grammar text, analysis options, schema
 version), and a damaged entry must be evicted and recompiled — never
-allowed to crash or poison a compile.
+allowed to crash or poison a compile.  Every entry is one ``.llt``
+image; tests damage it by editing its bytes or by encoding a damaged
+payload.
 """
 
 import glob
 import json
 import os
+import struct
 
 import pytest
 
@@ -18,8 +21,10 @@ from repro.cache import (
     SCHEMA_VERSION,
     ArtifactStore,
     CacheDiagnostic,
+    MappedArtifact,
     artifact_key,
     artifact_to_dict,
+    encode_artifact,
     grammar_fingerprint,
 )
 from repro.grammars import load
@@ -37,16 +42,16 @@ EDITED = GRAMMAR.replace("A C", "A A C")
 
 
 def _entry_paths(cache_dir):
-    return sorted(glob.glob(os.path.join(str(cache_dir), "*.json")))
+    return sorted(glob.glob(os.path.join(str(cache_dir), "*.llt")))
 
 
-def _drop_sidecars(cache_dir):
-    """Remove ``.llt`` sidecars so a test can exercise the JSON path by
-    hand-editing the entry — a valid sidecar would shadow the edit (the
-    mmap fast path loads first; see tests/test_mmap_artifact.py for the
-    sidecar's own corruption matrix)."""
-    for p in glob.glob(os.path.join(str(cache_dir), "*.llt")):
-        os.unlink(p)
+def _schema_of(path):
+    """The payload schema of a mappable image."""
+    mapped = MappedArtifact(path)
+    try:
+        return mapped.payload["schema"]
+    finally:
+        mapped.close()
 
 
 class TestKeying:
@@ -97,17 +102,31 @@ class TestWarmStart:
     def test_schema_bump_forces_reanalysis(self, tmp_path):
         d = str(tmp_path)
         repro.compile_grammar(GRAMMAR, cache_dir=d)
-        _drop_sidecars(tmp_path)
         (path,) = _entry_paths(tmp_path)
-        payload = json.loads(open(path).read())
-        payload["schema"] = SCHEMA_VERSION - 1  # simulate an old artifact
-        with open(path, "w") as f:
-            f.write(json.dumps(payload))
+        blob = bytearray(open(path, "rb").read())
+        # The header's schema field: simulate an old artifact.
+        struct.pack_into("<I", blob, 16, SCHEMA_VERSION - 1)
+        with open(path, "wb") as f:
+            f.write(blob)
         host = repro.compile_grammar(GRAMMAR, cache_dir=d)
         assert not host.from_cache
         # The stale entry was replaced by a current-schema one.
         (path,) = _entry_paths(tmp_path)
-        assert json.loads(open(path).read())["schema"] == SCHEMA_VERSION
+        assert _schema_of(path) == SCHEMA_VERSION
+
+    def test_cold_compile_publishes_one_image(self, tmp_path):
+        repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
+        assert os.listdir(str(tmp_path)) \
+            == [artifact_key(GRAMMAR, None, None) + ".llt"]
+
+    def test_legacy_json_entry_is_ignored(self, tmp_path):
+        legacy = os.path.join(str(tmp_path),
+                              artifact_key(GRAMMAR, None, None) + ".json")
+        with open(legacy, "w") as f:
+            f.write(json.dumps({"schema": SCHEMA_VERSION - 1}))
+        cold = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
+        assert not cold.from_cache and cold.cache_diagnostics == []
+        assert repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path)).from_cache
 
     def test_java_subset_store_level_warm_start(self, tmp_path):
         """Acceptance criterion: a warm java_subset compile through the
@@ -126,7 +145,7 @@ class TestWarmStart:
         key = artifact_key(bench.grammar_text, None, None)
         store.save(key, artifact_to_dict(
             cold.grammar, cold.analysis, cold.lexer_spec,
-            grammar_fingerprint(bench.grammar_text)))
+            grammar_fingerprint(bench.grammar_text)), bench.grammar_text)
 
         before = DecisionAnalyzer.invocations
         warm = repro.compile_grammar(bench.grammar_text, cache_dir=str(tmp_path))
@@ -143,22 +162,21 @@ class TestWarmStart:
 class TestCorruptionTolerance:
     def _seed(self, tmp_path):
         repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        _drop_sidecars(tmp_path)
         (path,) = _entry_paths(tmp_path)
         return path
 
     def test_truncated_entry_recompiles(self, tmp_path):
         path = self._seed(tmp_path)
-        with open(path) as f:
-            text = f.read()
-        with open(path, "w") as f:
-            f.write(text[:len(text) // 2])
+        with open(path, "rb") as f:
+            blob = f.read()
+        with open(path, "wb") as f:
+            f.write(blob[:len(blob) // 2])
         host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
         assert not host.from_cache
         assert host.recognize("a b")
         # The broken entry was evicted and rewritten whole.
         (path,) = _entry_paths(tmp_path)
-        json.loads(open(path).read())
+        MappedArtifact(path).close()
 
     def test_garbage_entry_recompiles(self, tmp_path):
         path = self._seed(tmp_path)
@@ -170,8 +188,9 @@ class TestCorruptionTolerance:
 
     def test_wrong_structure_entry_recompiles(self, tmp_path):
         path = self._seed(tmp_path)
-        with open(path, "w") as f:
-            f.write(json.dumps({"schema": SCHEMA_VERSION, "analysis": {}}))
+        with open(path, "wb") as f:
+            f.write(encode_artifact({"schema": SCHEMA_VERSION, "analysis": {}},
+                                    GRAMMAR))
         host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
         assert not host.from_cache
         assert host.recognize("a b")
@@ -195,7 +214,7 @@ class TestCorruptionTolerance:
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(path, "w") as f:
             f.write("{truncated")
-        assert store.load("deadbeef") is None
+        assert store.load_mapped("deadbeef") is None
         assert not os.path.exists(path)
 
     def test_unwritable_cache_dir_is_nonfatal(self, tmp_path):
@@ -211,15 +230,15 @@ class TestDegradedWarmStart:
     warns, and the parser rebuilds the DFA on first use."""
 
     def _seed_and_corrupt_record(self, tmp_path):
-        repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        _drop_sidecars(tmp_path)
-        (path,) = _entry_paths(tmp_path)
-        payload = json.loads(open(path).read())
+        host = repro.compile_grammar(GRAMMAR)
+        payload = artifact_to_dict(host.grammar, host.analysis,
+                                   host.lexer_spec,
+                                   grammar_fingerprint(GRAMMAR))
         # Damage one record's table only: every payload-level integrity
         # check (schema, name, vocabulary, decision count) still passes.
         payload["analysis"]["records"][0]["table"] = {"flipped": "bits"}
-        with open(path, "w") as f:
-            f.write(json.dumps(payload))
+        assert ArtifactStore(str(tmp_path)).save(
+            artifact_key(GRAMMAR, None, None), payload, GRAMMAR)
 
     def test_warm_start_survives_with_degraded_decision(self, tmp_path):
         self._seed_and_corrupt_record(tmp_path)
@@ -254,131 +273,6 @@ class TestDegradedWarmStart:
         assert degraded.parse("a c").to_sexpr() == cold.parse("a c").to_sexpr()
 
 
-class TestSchemaUpgrade:
-    """Schema-1 entries (object-graph DFA dicts) must never crash a warm
-    start: a convertible entry is upgraded in place (its paid-for
-    analysis preserved, the load still a hit), an unconvertible one is
-    evicted with a structured SCHEMA diagnostic and recompiled cold."""
-
-    def _downgrade(self, host, payload):
-        """Rewrite a current artifact dict into its genuine schema-1
-        form: per-record object-graph DFA dicts, no pool, object-model
-        lexer DFA — the exact layout schema 1 wrote."""
-        old = dict(payload)
-        old["schema"] = SCHEMA_VERSION - 1
-        analysis = dict(payload["analysis"])
-        del analysis["pool"]
-        del analysis["table_version"]
-        analysis["records"] = [
-            {"decision": r.decision, "rule_name": r.rule_name,
-             "kind": r.kind, "dfa": r.dfa.to_dict()}
-            for r in host.analysis.records]
-        old["analysis"] = analysis
-        if host.lexer_spec is not None:
-            old["lexer"] = host.lexer_spec.dfa.to_dict()
-        return old
-
-    def _seed_v1(self, tmp_path, grammar=GRAMMAR, options=None):
-        host = repro.compile_grammar(grammar, options=options)
-        store = ArtifactStore(str(tmp_path))
-        key = artifact_key(grammar, None, options)
-        payload = artifact_to_dict(host.grammar, host.analysis,
-                                   host.lexer_spec,
-                                   grammar_fingerprint(grammar))
-        store.save(key, self._downgrade(host, payload))
-        return host, store, key
-
-    def test_v1_entry_upgrades_to_warm_start(self, tmp_path):
-        cold, _store, _key = self._seed_v1(tmp_path)
-        before = DecisionAnalyzer.invocations
-        warm = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        assert warm.from_cache
-        assert DecisionAnalyzer.invocations == before  # analysis reused
-        assert any(d.kind == CacheDiagnostic.UPGRADED
-                   for d in warm.cache_diagnostics)
-        assert warm.parse("a b").to_sexpr() == cold.parse("a b").to_sexpr()
-        assert warm.parse("a c").to_sexpr() == cold.parse("a c").to_sexpr()
-
-    def test_upgrade_rewrites_entry_at_current_schema(self, tmp_path):
-        self._seed_v1(tmp_path)
-        repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        (path,) = _entry_paths(tmp_path)
-        payload = json.loads(open(path).read())
-        assert payload["schema"] == SCHEMA_VERSION
-        assert all("table" in r for r in payload["analysis"]["records"])
-        # The next load is a plain current-schema hit, not a re-upgrade.
-        again = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        assert again.from_cache
-        assert not any(d.kind == CacheDiagnostic.UPGRADED
-                       for d in again.cache_diagnostics)
-
-    def test_v1_entry_with_synpreds_upgrades(self, tmp_path):
-        """Semantic contexts in old DFA dicts land in the interned pool
-        and the warm host still classifies/backtracks identically."""
-        grammar = r"""
-            grammar Syn;
-            options { backtrack=true; }
-            t : '-'* ID | expr ;
-            expr : INT | '-' expr ;
-            ID : [a-z]+ ;
-            INT : [0-9]+ ;
-            WS : [ ]+ -> skip ;
-        """
-        options = AnalysisOptions(max_recursion_depth=1)
-        cold, _store, _key = self._seed_v1(tmp_path, grammar, options)
-        warm = repro.compile_grammar(grammar, cache_dir=str(tmp_path),
-                                     options=options)
-        assert warm.from_cache
-        assert len(warm.analysis.pool) == len(cold.analysis.pool)
-        for rc, rw in zip(cold.analysis.records, warm.analysis.records):
-            assert rw.category == rc.category
-            assert rw.fixed_k == rc.fixed_k
-        for text in ("--x", "---5", "7"):
-            assert warm.parse(text).to_sexpr() == cold.parse(text).to_sexpr()
-
-    def test_broken_v1_entry_evicted_never_fatal(self, tmp_path):
-        _host, store, key = self._seed_v1(tmp_path)
-        path = store.path_for(key)
-        payload = json.loads(open(path).read())
-        payload["analysis"]["records"][0]["dfa"] = {"flipped": "bits"}
-        with open(path, "w") as f:
-            f.write(json.dumps(payload))
-        host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        assert not host.from_cache  # cold recompile, no crash
-        assert any(d.kind == CacheDiagnostic.SCHEMA and "upgrade" in d.detail
-                   for d in host.cache_diagnostics)
-        assert host.recognize("a b")
-        # The rot was replaced by a fresh current-schema entry.
-        (path,) = _entry_paths(tmp_path)
-        assert json.loads(open(path).read())["schema"] == SCHEMA_VERSION
-
-    def test_two_versions_old_entry_evicted(self, tmp_path):
-        _host, store, key = self._seed_v1(tmp_path)
-        path = store.path_for(key)
-        payload = json.loads(open(path).read())
-        payload["schema"] = SCHEMA_VERSION - 2
-        with open(path, "w") as f:
-            f.write(json.dumps(payload))
-        host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        assert not host.from_cache
-        assert any(d.kind == CacheDiagnostic.SCHEMA
-                   for d in host.cache_diagnostics)
-        assert host.recognize("a c")
-
-    def test_store_level_upgrade_counts_as_hit(self, tmp_path):
-        _host, store, key = self._seed_v1(tmp_path)
-        loaded = store.load(key)
-        assert loaded is not None
-        assert loaded["schema"] == SCHEMA_VERSION
-        assert [d.kind for d in store.diagnostics] \
-            == [CacheDiagnostic.UPGRADED]
-        # The rewritten entry loads clean on the next probe: no second
-        # upgrade, no eviction.
-        assert store.load(key)["schema"] == SCHEMA_VERSION
-        assert [d.kind for d in store.diagnostics] \
-            == [CacheDiagnostic.UPGRADED]
-
-
 class TestCacheDiagnostics:
     """Every eviction leaves a structured trace, surfaced on the host."""
 
@@ -388,14 +282,13 @@ class TestCacheDiagnostics:
         os.makedirs(str(tmp_path), exist_ok=True)
         with open(path, "w") as f:
             f.write("{truncated")
-        assert store.load("deadbeef") is None
+        assert store.load_mapped("deadbeef") is None
         (diag,) = store.diagnostics
         assert diag.kind == CacheDiagnostic.CORRUPT
         assert diag.key == "deadbeef"
 
     def test_host_surfaces_store_diagnostics(self, tmp_path):
         repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        _drop_sidecars(tmp_path)
         (path,) = _entry_paths(tmp_path)
         with open(path, "w") as f:
             f.write("{truncated")
@@ -494,5 +387,5 @@ class TestAtomicity:
     def test_save_then_load_round_trips(self, tmp_path):
         store = ArtifactStore(str(tmp_path))
         payload = {"schema": SCHEMA_VERSION, "x": [1, 2, 3]}
-        store.save("k" * 64, payload)
-        assert store.load("k" * 64) == payload
+        store.save("k" * 64, payload, GRAMMAR)
+        assert store.load_mapped("k" * 64).payload == payload

@@ -1,16 +1,13 @@
 """Binary ``.llt`` artifact: roundtrip, zero-copy warm start, and the
 corruption/eviction hardening matrix.
 
-The contract under test: a valid sidecar warm-starts
-``compile_grammar`` with zero-copy tables faster than the JSON path
-ever could, and *any* damaged sidecar — truncated, version-skewed,
-bit-flipped — is detected at map time, evicts the whole cache entry
-(both files), and falls back to a cold recompile.  No corruption, at
-any layer, may crash a compile.
+The contract under test: a valid image warm-starts ``compile_grammar``
+with zero-copy tables, and *any* damaged image — truncated,
+version-skewed, bit-flipped — is detected at map time, evicted, and
+replaced by a cold recompile.  No corruption, at any layer, may crash a
+compile.
 """
 
-import glob
-import json
 import os
 import struct
 
@@ -103,24 +100,15 @@ class TestRoundTrip:
         assert mapped.grammar_source == grammar
         mapped.close()
 
-    def test_source_is_optional(self, tmp_path):
-        _host, payload = self._payload(GRAMMAR)
-        path = str(tmp_path / "a.llt")
-        with open(path, "wb") as f:
-            f.write(encode_artifact(payload))
-        mapped = MappedArtifact(path)
-        assert mapped.grammar_source is None
-        mapped.close()
-
     def test_wrong_schema_payload_rejected_at_encode(self):
         with pytest.raises(ArtifactFormatError):
-            encode_artifact({"schema": 1})
+            encode_artifact({"schema": 1}, GRAMMAR)
 
     def test_rows_are_zero_copy_views(self, tmp_path):
         _host, payload = self._payload(GRAMMAR)
         path = str(tmp_path / "a.llt")
         with open(path, "wb") as f:
-            f.write(encode_artifact(payload))
+            f.write(encode_artifact(payload, GRAMMAR))
         mapped = MappedArtifact(path)
         if not ZERO_COPY:  # pragma: no cover - big-endian fallback
             pytest.skip("platform decodes by copy")
@@ -150,24 +138,18 @@ class TestWarmStart:
         with pytest.raises(ArtifactFormatError):
             host_from_cache_key(str(tmp_path), "0" * 64)
 
-    def test_sourceless_sidecar_rejected_for_key_boot(self, tmp_path):
+    def test_host_from_cache_key_warns_on_degraded_decision(self, tmp_path):
         host = repro.compile_grammar(GRAMMAR)
         payload = artifact_to_dict(host.grammar, host.analysis,
                                    host.lexer_spec,
                                    grammar_fingerprint(GRAMMAR))
-        store = ArtifactStore(str(tmp_path))
-        store.save(_key(GRAMMAR), payload)  # no source: JSON only
-        assert store.save_sidecar(_key(GRAMMAR), payload)  # still no source
-        with pytest.raises(ArtifactFormatError):
-            host_from_cache_key(str(tmp_path), _key(GRAMMAR))
-
-    def test_missing_sidecar_regenerated_from_json(self, tmp_path):
-        _seed(tmp_path)
-        os.unlink(_llt_path(tmp_path, GRAMMAR))
-        warm = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        assert warm.from_cache
-        assert warm.mapped_artifact is None  # this start used JSON
-        assert os.path.exists(_llt_path(tmp_path, GRAMMAR))  # next one won't
+        payload["analysis"]["records"][0]["table"] = {"flipped": "bits"}
+        assert ArtifactStore(str(tmp_path)).save(_key(GRAMMAR), payload,
+                                                 GRAMMAR)
+        with pytest.warns(UserWarning, match="partially corrupt"):
+            warm = host_from_cache_key(str(tmp_path), _key(GRAMMAR))
+        assert 0 in warm.degraded_decisions
+        assert warm.parse(SAMPLE).to_sexpr() == host.parse(SAMPLE).to_sexpr()
 
     def test_zero_decision_grammar_round_trips(self, tmp_path):
         _seed(tmp_path, ZERO_DECISION)
@@ -187,14 +169,14 @@ class TestWarmStart:
 def _assert_evicted_and_recompiled(tmp_path, grammar=GRAMMAR,
                                    check=lambda host: host.recognize(SAMPLE)):
     """The shared tail of every corruption case: the damaged entry is
-    CORRUPT-diagnosed, both files are replaced by a fresh pair, and the
-    recompiled host works."""
+    CORRUPT-diagnosed, replaced by a fresh image, and the recompiled
+    host works."""
     host = repro.compile_grammar(grammar, cache_dir=str(tmp_path))
     assert not host.from_cache
     assert any(d.kind == CacheDiagnostic.CORRUPT
                for d in host.cache_diagnostics)
     assert check(host)
-    # Fresh pair published; the new sidecar maps clean.
+    # Fresh image published; it maps clean.
     mapped = MappedArtifact(_llt_path(tmp_path, grammar))
     mapped.close()
 
@@ -286,24 +268,23 @@ class TestCorruptionMatrix:
         store = ArtifactStore(str(tmp_path), sweep_orphans=False)
         assert store.load_mapped(_key(GRAMMAR)) is None
         assert not os.path.exists(store.path_for(_key(GRAMMAR)))
-        assert not os.path.exists(store.llt_path_for(_key(GRAMMAR)))
         assert any(d.kind == CacheDiagnostic.CORRUPT
                    for d in store.diagnostics)
 
 
 class TestSubJsonCorruption:
-    """Schema-valid JSON entries whose *table payloads* are damaged must
-    be classified ``corrupt`` (typed ArtifactFormatError), not ``stale``
-    — the pre-hardening behavior lumped both together."""
+    """Checksum-valid images whose *table payloads* are damaged must be
+    classified ``corrupt`` (typed ArtifactFormatError), not ``stale`` —
+    the pre-hardening behavior lumped both together."""
 
-    def _seed_json_only(self, tmp_path, mutate):
-        repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        os.unlink(_llt_path(tmp_path, GRAMMAR))  # force the JSON path
-        (path,) = glob.glob(os.path.join(str(tmp_path), "*.json"))
-        payload = json.loads(open(path).read())
+    def _seed_image(self, tmp_path, mutate):
+        host = repro.compile_grammar(GRAMMAR)
+        payload = artifact_to_dict(host.grammar, host.analysis,
+                                   host.lexer_spec,
+                                   grammar_fingerprint(GRAMMAR))
         mutate(payload)
-        with open(path, "w") as f:
-            f.write(json.dumps(payload))
+        with open(_llt_path(tmp_path, GRAMMAR), "wb") as f:
+            f.write(encode_artifact(payload, GRAMMAR))
 
     def _assert_corrupt_kind(self, tmp_path):
         host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
@@ -316,20 +297,14 @@ class TestSubJsonCorruption:
     def test_table_version_skew_is_corrupt(self, tmp_path):
         def mutate(payload):
             payload["analysis"]["table_version"] = 999
-        self._seed_json_only(tmp_path, mutate)
-        self._assert_corrupt_kind(tmp_path)
-
-    def test_damaged_lexer_table_is_corrupt(self, tmp_path):
-        def mutate(payload):
-            payload["lexer"]["edge_index"] = [0, 999999]
-        self._seed_json_only(tmp_path, mutate)
+        self._seed_image(tmp_path, mutate)
         self._assert_corrupt_kind(tmp_path)
 
     def test_duplicate_pool_entries_are_corrupt(self, tmp_path):
         def mutate(payload):
             dup = {"op": "pred", "pred": {"code": "x > 0"}}
             payload["analysis"]["pool"]["contexts"] = [dup, dup]
-        self._seed_json_only(tmp_path, mutate)
+        self._seed_image(tmp_path, mutate)
         self._assert_corrupt_kind(tmp_path)
 
     def test_grammar_text_mismatch_stays_stale(self, tmp_path):
@@ -337,7 +312,7 @@ class TestSubJsonCorruption:
         ``stale``, not ``corrupt`` — nothing is damaged."""
         def mutate(payload):
             payload["grammar_hash"] = "0" * 64
-        self._seed_json_only(tmp_path, mutate)
+        self._seed_image(tmp_path, mutate)
         host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
         assert not host.from_cache
         assert any(d.kind == CacheDiagnostic.STALE
@@ -362,5 +337,5 @@ class TestReadOnlyStore:
         payload = artifact_to_dict(host.grammar, host.analysis,
                                    host.lexer_spec,
                                    grammar_fingerprint(GRAMMAR))
-        assert store.save_sidecar("k" * 64, payload, GRAMMAR) is False
+        assert store.save("k" * 64, payload, GRAMMAR) is False
         assert sorted(os.listdir(str(tmp_path))) == ["cache"]

@@ -280,8 +280,8 @@ class TestCacheWiring:
                                      telemetry=tel)
         assert not host.from_cache
         ops = [e.operation for e in tel.events_by_kind("cache")]
-        # Two saves: the JSON entry and its binary mmap sidecar.
-        assert ops == ["miss", "save", "save"]
+        # One save: the entry is a single ``.llt`` image.
+        assert ops == ["miss", "save"]
         warm = repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path),
                                      telemetry=tel)
         assert warm.from_cache
@@ -297,9 +297,7 @@ class TestCacheWiring:
 
         tel = ParseTelemetry()
         repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path))
-        for sidecar in glob.glob(os.path.join(str(tmp_path), "*.llt")):
-            os.unlink(sidecar)  # a valid sidecar would shadow the edit
-        entry, = glob.glob(os.path.join(str(tmp_path), "*.json"))
+        entry, = glob.glob(os.path.join(str(tmp_path), "*.llt"))
         with open(entry, "w") as f:
             f.write("{ truncated")
         host = repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path),
