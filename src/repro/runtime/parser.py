@@ -1,12 +1,17 @@
-"""The LL(*) parser: an ATN interpreter with DFA-driven prediction.
+"""The LL(*) parser: a rule-program interpreter with DFA-driven prediction.
 
-The interpreter walks each rule's ATN; at every decision point it asks
+The interpreter runs each parser rule as its lowered
+:class:`~repro.atn.program.RuleProgram` (Section 4's parser shape:
+straight-line matches and calls, one prediction switch per decision),
+built once per ATN on the first parse.  At every PREDICT op it asks
 :class:`~repro.runtime.predict.Predictor`, the one Figure-5 executor
 shared with generated parsers, to run the decision's lookahead DFA
 table.  This module supplies the interpreter's side of that contract:
 tables come from the analysis records (a degraded decision is rebuilt
 on the fly), synpred fragments run through :meth:`LLStarParser._run_rule`,
 and predicate code is ``eval``-ed against the action environment.
+Error recovery reads the ATN transitions the ops keep: continuation sets
+are keyed by ATN states.
 
 Speculation machinery (Section 4):
 
@@ -24,18 +29,20 @@ from __future__ import annotations
 
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
-from repro.atn.transitions import (
-    ActionTransition,
-    AtomTransition,
-    EpsilonTransition,
-    PredicateTransition,
-    RuleTransition,
-    SetTransition,
+from repro.atn.program import (
+    CALL,
+    MATCH,
+    MATCH_SET,
+    PREDICATE,
+    PREDICT,
+    RuleProgram,
+    rule_programs,
 )
 from repro.exceptions import (
     ActionError,
     BudgetExceededError,
     FailedPredicateError,
+    GrammarError,
     MismatchedTokenError,
     RecognitionError,
 )
@@ -127,6 +134,13 @@ class LLStarParser(Predictor):
         self.atn = analysis.atn
         self.options = options
         self.vocabulary = self.grammar.vocabulary
+        # Rule name -> lowered program, shared by every parser of the ATN.
+        self._programs = rule_programs(self.atn, self.grammar)
+        # Per-parse copies of the options the rule loop reads on every
+        # invocation (``recognize`` switches ``_build_tree`` off).
+        self._build_tree = options.build_tree
+        self._memoize = options.memoize
+        self._recover_errors = options.recover
         self.errors: List[RecognitionError] = []
         self._memo: Dict[Tuple[str, int], int] = {}
         self._last_recovery_index = -1
@@ -166,19 +180,22 @@ class LLStarParser(Predictor):
         """Parse from ``rule_name`` (default: grammar start rule).
 
         Returns the parse tree root (or None when tree building is off).
-        Raises :class:`RecognitionError` subclasses on bad input.
+        Raises :class:`RecognitionError` subclasses on bad input, and
+        :class:`~repro.exceptions.GrammarError` when ``rule_name`` is not
+        a parser rule.
         """
         if rule_name is None:
             rule_name = self.grammar.start_rule
-        budget = self.options.budget
+        program = self._program(rule_name)
+        budget = self._budget
         if budget is not None:
             self._deadline = budget.deadline_from_now()
-        node = self._run_rule(rule_name, [])
+        node = self._run_rule(program, ())
         if require_eof and self.stream.la(1) != EOF:
             token = self.stream.lt(1)
             error = MismatchedTokenError("EOF", token, self.stream.index,
                                          rule_name=rule_name)
-            if self.options.recover:
+            if self._recover_errors:
                 reported = self.options.error_strategy.report(self, error)
                 skipped = []
                 while self.stream.la(1) != EOF:
@@ -206,22 +223,30 @@ class LLStarParser(Predictor):
 
     def recognize(self, rule_name: Optional[str] = None, require_eof: bool = True) -> bool:
         """Pure recognition: True iff the input parses."""
-        saved = self.options.build_tree
-        self.options.build_tree = False
+        saved = self._build_tree
+        self._build_tree = False
         try:
             self.parse(rule_name, require_eof=require_eof)
             return True
         except RecognitionError:
             return False
         finally:
-            self.options.build_tree = saved
+            self._build_tree = saved
 
     # -- core interpreter ---------------------------------------------------------------
 
-    def _run_rule(self, rule_name: str, arg_values: List[Any]) -> Optional[RuleNode]:
-        rule = self.grammar.rule(rule_name)
+    def _program(self, rule_name: str) -> RuleProgram:
+        program = self._programs.get(rule_name)
+        if program is None:
+            self.grammar.rule(rule_name)  # unknown name: "no rule named ..."
+            raise GrammarError("rule %s is a lexer rule, not a parser rule"
+                               % rule_name)
+        return program
+
+    def _run_rule(self, program: RuleProgram, arg_values) -> Optional[RuleNode]:
+        rule_name = program.name
         memo_key = None
-        if (self.speculating and self.options.memoize and not rule.params):
+        if self._speculating and self._memoize and not program.params:
             memo_key = (rule_name, self.stream.index)
             cached = self._memo.get(memo_key)
             if cached is not None:
@@ -239,34 +264,38 @@ class LLStarParser(Predictor):
         # while speculating (no tree), during recovery mode (grafting
         # would skip the match that ends cascade suppression), and for
         # parameterized invocations (the subtree may depend on args).
-        if (self._reuse is not None and not self.speculating
+        if (self._reuse is not None and not self._speculating
                 and not self._error_recovery_mode
-                and self.options.build_tree and not arg_values):
+                and self._build_tree and not arg_values):
             reused = self._reuse.take(rule_name, self.stream.index)
             if reused is not None:
                 return self._graft(reused)
 
-        frame: Dict[str, Any] = dict(zip(rule.params, arg_values))
         # The builder opens a node at the entry stream position; the
         # node attaches to its parent only at close, so a failed rule
         # (no recovery) leaves nothing behind in the tree.
         node = (self._builder.open_rule(rule_name, self.stream.index)
-                if self.options.build_tree and not self.speculating
+                if self._build_tree and not self._speculating
                 else None)
+        if program.params:
+            frame: Dict[str, Any] = dict(zip(program.params, arg_values))
+            frame["ctx"] = node
+        else:
+            frame = {"ctx": node}
         closed = False
         impure_mark = self._impure_ops
-        frame["ctx"] = node
-        if self.options.trace is not None:
-            self.options.trace.enter_rule(rule_name, self.stream.index, self.speculating)
+        trace = self._trace
+        if trace is not None:
+            trace.enter_rule(rule_name, self.stream.index, self.speculating)
         tel = self._telemetry
         rule_span = None
-        if tel is not None and not self.speculating:
+        if tel is not None and not self._speculating:
             tel.record_rule(rule_name)
             if tel.trace_rules:
                 rule_span = tel.start_span("rule:" + rule_name)
         self._rule_depth += 1
         try:
-            budget = self.options.budget
+            budget = self._budget
             if budget is not None:
                 if (budget.max_rule_depth is not None
                         and self._rule_depth > budget.max_rule_depth):
@@ -276,14 +305,13 @@ class LLStarParser(Predictor):
                         index=self.stream.index)
                 self._check_deadline()
             try:
-                self._walk(self.atn.rule_start[rule_name], rule_name, frame, node)
+                self._walk(program, frame, node)
             except RecognitionError as error:
                 if memo_key is not None:
                     self._memo[memo_key] = _MEMO_FAILED
-                if self.options.trace is not None:
-                    self.options.trace.exit_rule(rule_name, self.stream.index,
-                                                 failed=True)
-                if self.options.recover and not self.speculating:
+                if trace is not None:
+                    trace.exit_rule(rule_name, self.stream.index, failed=True)
+                if self._recover_errors and not self._speculating:
                     self._recover(rule_name, error)
                     if node is not None:
                         self._builder.close_rule(self.stream.index)
@@ -300,10 +328,10 @@ class LLStarParser(Predictor):
                 tel.end_span(rule_span)
         if memo_key is not None:
             self._memo[memo_key] = self.stream.index
-        if self.options.trace is not None:
-            self.options.trace.exit_rule(rule_name, self.stream.index, failed=False)
+        if trace is not None:
+            trace.exit_rule(rule_name, self.stream.index, failed=False)
         if node is not None:
-            if (self._track_look and not rule.params
+            if (self._track_look and not program.params
                     and self._impure_ops == impure_mark):
                 # Pure derivation: tokens [start, max(stop, look_stop)]
                 # fully determine this subtree.  The global high-water
@@ -333,70 +361,78 @@ class LLStarParser(Predictor):
             self._telemetry.record_reuse(node.rule_name, node.start, node.stop)
         return node
 
-    def _walk(self, start, rule_name: str, frame: Dict[str, Any],
+    def _walk(self, program: RuleProgram, frame: Dict[str, Any],
               node: Optional[RuleNode]) -> None:
-        state = start
-        stop = self.atn.rule_stop[rule_name]
-        while state is not stop:
-            if state.is_decision:
-                alt = self._adaptive_predict(state.decision, frame)
-                if node is not None and state is start:
+        """Execute ``program`` from its entry until it returns."""
+        code = program.code
+        pc = program.entry
+        rule_name = program.name
+        stream = self.stream
+        while pc >= 0:
+            op, a, b, nxt = code[pc]
+            if op == PREDICT:
+                alt = self._adaptive_predict(a, frame)
+                if nxt and node is not None:  # the rule-start decision
                     node.alt = alt
-                state = state.transitions[alt - 1].target
-                continue
-            transition = state.transitions[0]
-            if isinstance(transition, (AtomTransition, SetTransition)):
-                token = self._match(transition, rule_name)
-                if node is not None:
-                    self._builder.add_token(token)
-                state = transition.target
-            elif isinstance(transition, RuleTransition):
-                args = [self._eval_expr(a, frame) for a in transition.args]
-                self._follow_stack.append((transition.follow_state, rule_name))
+                pc = b[alt - 1]
+            elif op == CALL:
+                args = [self._eval_expr(e, frame) for e in b.args] if b.args else ()
+                self._follow_stack.append((b.follow_state, rule_name))
                 try:
                     # The child attaches to ``node`` via the builder when
                     # it closes; nothing to do here on success.
-                    self._run_rule(transition.rule_name, args)
+                    self._run_rule(a, args)
                 finally:
                     self._follow_stack.pop()
-                state = transition.follow_state
-            elif isinstance(transition, PredicateTransition):
-                if transition.predicate.is_synpred:
-                    # Syntactic predicates only direct prediction; once an
-                    # alternative is chosen, the gate has done its job
-                    # (ANTLR semantics: synpreds are decision directives).
-                    state = transition.target
-                    continue
-                if not self._eval_predicate(transition.predicate, frame):
+                pc = nxt
+            elif op == MATCH:
+                token = stream.lt(1)
+                if token.type == a:
+                    stream.consume()
+                    if self._speculating:
+                        if stream.index > self._deepest_spec_index:
+                            self._deepest_spec_index = stream.index
+                    else:
+                        self._error_recovery_mode = False
+                else:
+                    token = self._match(b, a, rule_name)
+                if node is not None:
+                    self._builder.add_token(token)
+                pc = nxt
+            elif op == MATCH_SET:
+                token = self._match(b, None, rule_name)
+                if node is not None:
+                    self._builder.add_token(token)
+                pc = nxt
+            elif op == PREDICATE:
+                if not self._eval_predicate(a, frame):
                     raise FailedPredicateError(
-                        transition.predicate, token=self.stream.lt(1),
-                        index=self.stream.index, rule_name=rule_name)
-                state = transition.target
-            elif isinstance(transition, ActionTransition):
-                self._execute_action(transition.action, frame)
-                state = transition.target
-            elif isinstance(transition, EpsilonTransition):
-                state = transition.target
-            else:  # pragma: no cover - builder invariant
-                raise AssertionError("unexpected transition %r" % transition)
+                        a, token=stream.lt(1), index=stream.index,
+                        rule_name=rule_name)
+                pc = nxt
+            else:  # ACTION
+                self._execute_action(a, frame)
+                pc = nxt
 
-    def _match(self, transition, rule_name: str):
+    def _match(self, transition, expected_type: Optional[int], rule_name: str):
+        """Consume the current token if ``transition`` matches it, else
+        fail or repair.  MATCH ops pass their token type as
+        ``expected_type`` (inline repair needs one); MATCH_SET ops pass
+        None."""
         token = self.stream.lt(1)
         if transition.matches(token.type):
             self.stream.consume()
-            if self.speculating:
+            if self._speculating:
                 if self.stream.index > self._deepest_spec_index:
                     self._deepest_spec_index = self.stream.index
             else:
                 self._error_recovery_mode = False
             return token
-        if self.speculating:
-            expected = (self.vocabulary.name_of(transition.token_type)
-                        if isinstance(transition, AtomTransition) else repr(transition))
+        if self._speculating:
+            expected = (self.vocabulary.name_of(expected_type)
+                        if expected_type is not None else repr(transition))
             raise MismatchedTokenError(expected, token, self.stream.index,
                                        rule_name=rule_name)
-        expected_type = (transition.token_type
-                         if isinstance(transition, AtomTransition) else None)
         if expected_type is not None:
             following = self._viable_after(transition.target, rule_name)
             return self.options.error_strategy.recover_inline(
@@ -510,7 +546,7 @@ class LLStarParser(Predictor):
         return table, False
 
     def _run_synpred(self, name: str) -> None:
-        self._run_rule(name, [])
+        self._run_rule(self._programs[name], ())
 
     def _materialize_dfa(self, decision: int, record):
         """Degraded mode: this decision has no usable lookahead DFA (a

@@ -93,6 +93,14 @@ class TestParserHost:
             host.tokenize("ab")
         assert host.recognize(host.token_stream_from_types(["A", "B"]))
 
+    def test_lexer_rule_as_start_rule_is_a_grammar_error(self, host):
+        """Regression: a lexer-rule name as the start rule escaped as a
+        bare KeyError; it must be as typed as an unknown rule name."""
+        with pytest.raises(GrammarError, match=r"ID is a lexer rule, not a parser rule"):
+            host.parse("go abc", rule_name="ID")
+        with pytest.raises(GrammarError, match=r"no rule named nope"):
+            host.parse("go abc", rule_name="nope")
+
     def test_each_parse_is_independent(self, host):
         p1 = host.parser("go abc")
         p2 = host.parser("go xyz")

@@ -74,6 +74,14 @@ class TestBatchEngine:
         assert failure.input_id == "deep"
         assert failure.error_type == "BudgetExceededError"
 
+    def test_lexer_start_rule_fails_every_row_typed(self):
+        """Regression: a lexer-rule start rule raised KeyError out of
+        ``run``; every row now fails with a typed GrammarError."""
+        report = BatchEngine(GRAMMAR, jobs=0, rule_name="ID").run(GOOD[:3])
+        assert [(r.ok, r.error_type) for r in report.results] == \
+            [(False, "GrammarError")] * 3
+        assert "ID is a lexer rule" in report.results[0].error
+
     def test_lexer_failure_is_per_input(self):
         report = parse_corpus(GRAMMAR, GOOD[:3] + [("nonascii", "x = Δ;")],
                               jobs=0)

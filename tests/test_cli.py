@@ -67,6 +67,13 @@ class TestParse:
         assert main(["parse", grammar, str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_lexer_start_rule_reported_without_traceback(self, paths, capsys):
+        grammar, source, _tmp = paths
+        assert main(["parse", grammar, source, "--rule", "ID"]) == 1
+        err = capsys.readouterr().err
+        assert "error: rule ID is a lexer rule, not a parser rule" in err
+        assert "Traceback" not in err
+
     def test_missing_file_reported(self, paths, capsys):
         grammar, _source, _tmp = paths
         assert main(["parse", grammar, "/nonexistent/input"]) == 1

@@ -255,6 +255,19 @@ class TestActions:
         with pytest.raises(ActionError):
             host.parse("a")
 
+    def test_recognize_leaves_the_callers_options_alone(self):
+        """``recognize`` turns tree building off for its own parse only:
+        options shared with other parsers must not change under them."""
+        host = repro.compile_grammar(r"""
+            grammar RO;
+            s : A {state.append(parser.options.build_tree)} ;
+            A : 'a' ;
+        """)
+        seen = []
+        options = ParserOptions(user_state=seen)
+        assert host.recognize("a", options=options)
+        assert seen == [True] and options.build_tree is True
+
 
 class TestParameterizedRules:
     def test_args_passed_and_visible_to_predicates(self):

@@ -418,6 +418,24 @@ class TestServiceRoutes:
 
         asyncio.run(scenario())
 
+    def test_lexer_start_rule_answers_like_an_unknown_rule(self):
+        """Regression: ``"rule": "NUM"`` (a lexer rule) was a 500
+        InternalError; it gets the status and body of an unknown rule."""
+        async def scenario():
+            svc = service_for()
+            unknown = await parse(svc, {"grammar": "expr", "text": "1+2",
+                                        "rule": "nonexistent"})
+            lexer = await parse(svc, {"grammar": "expr", "text": "1+2",
+                                      "rule": "NUM"})
+            assert unknown.status == lexer.status == 200
+            assert sorted(lexer.body) == sorted(unknown.body)
+            assert lexer.body["ok"] is False
+            assert lexer.body["error_type"] == "GrammarError"
+            assert "NUM is a lexer rule" in lexer.body["error"]
+            svc.close()
+
+        asyncio.run(scenario())
+
     def test_unknown_grammar_404(self):
         async def scenario():
             svc = service_for()
