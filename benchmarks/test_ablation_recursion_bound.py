@@ -12,7 +12,7 @@ DFA size and the runtime backtrack percentage on inputs of varying
 from repro.analysis import AnalysisOptions
 from repro.api import compile_grammar
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 from conftest import emit_table
 
@@ -30,9 +30,9 @@ INPUTS = ["x", "-x", "--x", "---x", "----5", "------5"]
 
 
 def backtrack_percent(host, text):
-    profiler = DecisionProfiler()
-    host.parse(text, options=ParserOptions(profiler=profiler))
-    return profiler.report().backtrack_event_percent
+    telemetry = ParseTelemetry(capture_events=False)
+    host.parse(text, options=ParserOptions(telemetry=telemetry))
+    return telemetry.report().backtrack_event_percent
 
 
 def test_recursion_bound_sweep(benchmark):

@@ -12,7 +12,7 @@ from repro.analysis import AnalysisOptions, BACKTRACK, analyze
 from repro.api import compile_grammar
 from repro.grammar.meta_parser import parse_grammar
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 from conftest import emit_table
 
@@ -52,9 +52,9 @@ def test_figure2_dfa(benchmark):
     # Runtime confirmation: '-x' never backtracks, '--x' does.
     host = compile_grammar(FIG2, options=options)
     def backtracks(text):
-        profiler = DecisionProfiler()
-        host.parse(text, options=ParserOptions(profiler=profiler))
-        return profiler.report().backtrack_event_percent > 0
+        telemetry = ParseTelemetry(capture_events=False)
+        host.parse(text, options=ParserOptions(telemetry=telemetry))
+        return telemetry.report().backtrack_event_percent > 0
 
     assert not backtracks("x")
     assert not backtracks("-x")

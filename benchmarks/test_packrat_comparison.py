@@ -12,7 +12,7 @@ import time
 
 from repro.baselines.packrat import PackratParser
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 from conftest import emit_table
 
@@ -25,12 +25,13 @@ def test_llstar_reduces_speculation(suite, benchmark):
     stream = host.tokenize(text)
     tokens = stream.size
 
-    profiler = DecisionProfiler()
+    telemetry = ParseTelemetry(capture_events=False)
     t0 = time.perf_counter()
-    host.parse(text, options=ParserOptions(profiler=profiler))
+    host.parse(text, options=ParserOptions(telemetry=telemetry))
     ll_time = time.perf_counter() - t0
-    report = profiler.report(host.analysis)
-    ll_backtracks = sum(s.backtrack_events for s in profiler.stats.values())
+    report = telemetry.report(host.analysis)
+    ll_backtracks = sum(s.backtrack_events
+                        for s in telemetry.profiler.stats.values())
 
     packrat = PackratParser(host.grammar, memoize=True)
     stream.seek(0)

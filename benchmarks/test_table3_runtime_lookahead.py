@@ -21,13 +21,13 @@ UNITS = 40
 
 def profile_parse(host, text):
     from repro.runtime.parser import ParserOptions
-    from repro.runtime.profiler import DecisionProfiler
+    from repro.runtime.telemetry import ParseTelemetry
 
-    profiler = DecisionProfiler()
+    telemetry = ParseTelemetry(capture_events=False)
     started = time.perf_counter()
-    host.parse(text, options=ParserOptions(profiler=profiler))
+    host.parse(text, options=ParserOptions(telemetry=telemetry))
     elapsed = time.perf_counter() - started
-    return profiler.report(host.analysis), elapsed
+    return telemetry.report(host.analysis), elapsed
 
 
 def test_table3(suite, paper_names, benchmark):

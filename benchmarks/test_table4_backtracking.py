@@ -18,16 +18,16 @@ UNITS = 40
 
 def test_table4(suite, paper_names, benchmark):
     from repro.runtime.parser import ParserOptions
-    from repro.runtime.profiler import DecisionProfiler
+    from repro.runtime.telemetry import ParseTelemetry
 
     rows = []
     percents = {}
     for name in PAPER_ORDER:
         bench, host = suite[name]
-        profiler = DecisionProfiler()
+        telemetry = ParseTelemetry(capture_events=False)
         text = bench.generate_program(UNITS, seed=7)
-        host.parse(text, options=ParserOptions(profiler=profiler))
-        report = profiler.report(host.analysis)
+        host.parse(text, options=ParserOptions(telemetry=telemetry))
+        report = telemetry.report(host.analysis)
         can = report.can_backtrack_decisions
         did = report.did_backtrack_decisions & can
         percents[name] = report.backtrack_event_percent

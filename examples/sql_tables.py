@@ -10,7 +10,7 @@ Run:  python examples/sql_tables.py
 
 from repro.grammars import load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 from repro.runtime.trees import RuleNode
 
 
@@ -29,8 +29,8 @@ def main():
     host = bench.compile()
 
     batch = bench.generate_program(12, seed=2026)
-    profiler = DecisionProfiler()
-    tree = host.parse(batch, options=ParserOptions(profiler=profiler))
+    telemetry = ParseTelemetry(capture_events=False)
+    tree = host.parse(batch, options=ParserOptions(telemetry=telemetry))
 
     statements = tree.child_rules("sql_statement")
     print("parsed %d SQL statements" % len(statements))
@@ -39,7 +39,7 @@ def main():
         kind = stmt.children[0].rule_name if stmt.child_rules() else "(empty)"
         print("  #%-2d %-18s tables: %s" % (i + 1, kind, ", ".join(touched) or "-"))
 
-    report = profiler.report(host.analysis)
+    report = telemetry.report(host.analysis)
     print()
     print("decision profile for this batch (Table 3 columns):")
     print("  events=%d  avg k=%.2f  max k=%d  backtracked=%.2f%%"

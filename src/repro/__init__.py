@@ -21,9 +21,9 @@ Static analysis (:mod:`repro.analysis`):
 Runtime (:mod:`repro.runtime`):
     ``LLStarParser`` interprets the analysed grammar over a token
     stream, predicting with the lookahead DFA and failing over to
-    memoized speculation on synpred edges.  ``DecisionProfiler``
-    collects the per-decision-event statistics behind the paper's
-    Tables 2-4.  With ``ParserOptions(recover=True)`` the parser
+    memoized speculation on synpred edges.  ``ParseTelemetry``, its one
+    observer, keeps the per-decision statistics behind the paper's
+    Tables 3-4.  With ``ParserOptions(recover=True)`` the parser
     repairs errors ANTLR-style (single-token insertion/deletion,
     FOLLOW-set resync) and marks every repair with an ``ErrorNode``;
     ``ParserBudget`` bounds time and speculation with typed

@@ -19,8 +19,9 @@ spread the per-input parsing across worker processes that never re-run
   pathological or malformed input fails its own
   :class:`~repro.batch.engine.BatchResult` while the rest of the corpus
   completes.
-* Corpus aggregation — each worker fills its own
-  :class:`~repro.runtime.telemetry.MetricsRegistry` and
+* Corpus aggregation — each chunk parses under one
+  :class:`~repro.runtime.telemetry.ParseTelemetry` and returns its
+  :class:`~repro.runtime.telemetry.MetricsRegistry` and per-decision
   :class:`~repro.runtime.profiler.DecisionProfiler`; the parent merges
   the snapshots (:meth:`MetricsRegistry.merge`,
   :meth:`DecisionProfiler.merge`) into one corpus-level

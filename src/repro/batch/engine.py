@@ -17,8 +17,8 @@ Lifecycle of one :meth:`BatchEngine.run`:
    of materializing every future up front).
 4. Workers parse without building trees: a :class:`BatchResult` holds
    the outcome, error, and token count of an input, not its tree.
-5. Each chunk returns its :class:`BatchResult` rows plus a chunk-local
-   metrics registry and profiler; the parent folds them into the
+5. Each chunk returns its :class:`BatchResult` rows plus its telemetry's
+   metrics registry and per-decision store; the parent folds them into the
    corpus-level :class:`BatchReport` as chunks complete, preserving
    input order in the final result list.
 

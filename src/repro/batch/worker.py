@@ -11,13 +11,12 @@ worker; a batch's analysis cost is paid once, in the parent.
 Inputs parse without building trees (``ParserOptions(build_tree=False)``):
 a :class:`~repro.batch.engine.BatchResult` records outcome, error, and
 token count, never a tree, so building one per file would be pure
-allocation.  Recovery, telemetry, and profiling see the same parse
-either way.
+allocation.  Recovery and telemetry see the same parse either way.
 
 Chunk results travel back as plain picklable values: a list of
-:class:`~repro.batch.engine.BatchResult` rows plus the chunk's
-:class:`~repro.runtime.telemetry.MetricsRegistry` and
-:class:`~repro.runtime.profiler.DecisionProfiler`, which the parent
+:class:`~repro.batch.engine.BatchResult` rows plus the registry and the
+per-decision store of the chunk's one
+:class:`~repro.runtime.telemetry.ParseTelemetry`, which the parent
 merges into the corpus-level report.  Budget- or syntax-level failures
 are caught *per input*: one pathological file fails its own row, never
 the chunk or the batch.
@@ -31,7 +30,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.exceptions import LLStarError
 from repro.runtime.budget import ParserBudget
-from repro.runtime.profiler import DecisionProfiler
 from repro.runtime.telemetry import LATENCY_BUCKETS, ParseTelemetry
 
 
@@ -100,9 +98,9 @@ class WorkerContext:
     def run_chunk(self, chunk: Sequence[Tuple[str, str]]):
         """Parse one chunk of ``(input_id, text)`` pairs, tree-free.
 
-        Returns ``(results, metrics, profiler)``; the registry and
-        profiler cover exactly this chunk, so the parent's merge over all
-        chunks is the corpus total.
+        Returns ``(results, metrics, profiler)``: the registry and
+        per-decision store of the chunk's telemetry cover exactly this
+        chunk, so the parent's merge over all chunks is the corpus total.
         """
         from repro.batch.engine import BatchResult
         from repro.runtime.parser import ParserOptions
@@ -110,7 +108,6 @@ class WorkerContext:
         config = self.config
         host = self.host
         telemetry = ParseTelemetry(capture_events=False)
-        profiler = DecisionProfiler()
         input_seconds = telemetry.metrics.histogram(
             "llstar_batch_input_seconds", "per-input parse latency",
             buckets=LATENCY_BUCKETS)
@@ -151,7 +148,7 @@ class WorkerContext:
                 stream = host.tokenize(text)
                 tokens = max(0, len(stream.tokens()) - 1)  # minus EOF
                 parser = host.parser(stream, options=ParserOptions(
-                    build_tree=False, profiler=profiler, telemetry=telemetry,
+                    build_tree=False, telemetry=telemetry,
                     budget=config.budget, recover=config.recover))
                 parser.parse(config.rule_name)
                 errors = len(parser.errors)
@@ -171,7 +168,7 @@ class WorkerContext:
             tokens_total.inc(result.tokens)
             (ok_inputs if result.ok else failed_inputs).inc()
             results.append(result)
-        return results, telemetry.metrics, profiler
+        return results, telemetry.metrics, telemetry.profiler
 
 
 #: Per-process singleton installed by the pool initializer.

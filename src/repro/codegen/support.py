@@ -3,7 +3,7 @@
 Generated modules contain plain recursive-descent methods; everything
 decision-related stays in the runtime so the generated code stays
 readable.  Prediction (DFA walk per Figure 5, synpred speculation,
-profiling) is :class:`~repro.runtime.predict.Predictor`, the executor
+telemetry) is :class:`~repro.runtime.predict.Predictor`, the executor
 the interpreter uses too; this module adds rule scaffolding, matching
 and the speculation memo.
 
@@ -78,9 +78,9 @@ class GeneratedParser(Predictor):
         return cached
 
     def __init__(self, stream: TokenStream, state: Any = None,
-                 build_tree: bool = True, memoize: bool = True, profiler=None):
+                 build_tree: bool = True, memoize: bool = True, telemetry=None):
         super().__init__(stream, len(self._live_tables()[1]),
-                         profiler=profiler)
+                         telemetry=telemetry)
         self.state = state
         self.build_tree = build_tree
         self.memoize = memoize

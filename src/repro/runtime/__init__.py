@@ -1,4 +1,4 @@
-"""Parse-time runtime: tokens, streams, the LL(*) parser, and profiling.
+"""Parse-time runtime: tokens, streams, the LL(*) parser, and telemetry.
 
 The runtime is the half of the system that executes at parse time.  It is
 deliberately independent of the static-analysis half
@@ -18,21 +18,18 @@ from repro.runtime.errors import (
     ErrorStrategy,
     SingleTokenDeletionStrategy,
 )
-from repro.runtime.profiler import (
-    DecisionProfiler,
-    DecisionStats,
-    DegradationEvent,
-    ProfileReport,
-)
+from repro.runtime.profiler import DecisionProfiler, DecisionStats, ProfileReport
 from repro.runtime.streaming import StreamingTokenStream
 from repro.runtime.telemetry import (
     CacheEvent,
+    DegradationEvent,
     DfaFallbackEvent,
     MetricsRegistry,
     ParseTelemetry,
     PredictEvent,
     RecoveryEvent,
     SpanEvent,
+    TraceTelemetry,
 )
 
 
@@ -83,4 +80,5 @@ __all__ = [
     "RecoveryEvent",
     "CacheEvent",
     "SpanEvent",
+    "TraceTelemetry",
 ]

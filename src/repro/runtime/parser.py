@@ -55,7 +55,7 @@ from repro.runtime.errors import (
 from repro.runtime.predict import Predictor
 from repro.runtime.token import EOF
 from repro.runtime.token_stream import TokenStream
-from repro.runtime.trees import ErrorNode, RuleNode, TokenNode, TreeBuilder
+from repro.runtime.trees import ErrorNode, RuleNode, TreeBuilder
 
 _MEMO_FAILED = -2  # sentinel stop index for memoized failures
 
@@ -65,18 +65,16 @@ class ParserOptions:
 
     ``memoize``: cache speculative rule invocations (packrat-style).
     ``build_tree``: construct a parse tree (off for pure recognition).
-    ``profiler``: a :class:`~repro.runtime.profiler.DecisionProfiler`.
     ``user_state``: arbitrary object exposed to actions/predicates as
     ``state``.
     ``action_globals``: extra names visible to embedded Python code.
     ``error_strategy``: inline-mismatch handling outside speculation.
-    ``trace``: optional :class:`~repro.runtime.debug.TraceListener`.
     ``budget``: a :class:`~repro.runtime.budget.ParserBudget` of resource
     limits; crossing one raises
     :class:`~repro.exceptions.BudgetExceededError`.
-    ``telemetry``: a :class:`~repro.runtime.telemetry.ParseTelemetry`
-    receiving structured events and metrics (prediction outcomes,
-    recovery repairs, degradations, speculation spans).
+    ``telemetry``: a :class:`~repro.runtime.telemetry.ParseTelemetry`,
+    the parser's one observer: per-decision statistics (Tables 3-4),
+    metrics, events, spans and, as a ``TraceTelemetry``, a trace.
     ``reuse``: a :class:`~repro.runtime.incremental.ReuseTable` of
     subtrees from a previous parse of (mostly) the same tokens.  The
     rule-invocation path probes it next to the speculation memo: a hit
@@ -87,22 +85,19 @@ class ParserOptions:
     """
 
     def __init__(self, memoize: bool = True, build_tree: bool = True,
-                 profiler=None, user_state: Any = None,
+                 user_state: Any = None,
                  action_globals: Optional[Dict[str, Any]] = None,
                  error_strategy: Optional[ErrorStrategy] = None,
-                 trace=None, recover: bool = False,
-                 budget: Optional[ParserBudget] = None,
+                 recover: bool = False, budget: Optional[ParserBudget] = None,
                  telemetry=None, reuse=None):
         self.memoize = memoize
         self.build_tree = build_tree
-        self.profiler = profiler
         self.user_state = user_state
         self.action_globals = dict(action_globals) if action_globals else {}
         # A recovering parse defaults to full inline repair
         # (deletion + insertion); a bailing parse fails fast.
         self.error_strategy = error_strategy or (
             DefaultErrorStrategy() if recover else BailErrorStrategy())
-        self.trace = trace
         # Panic-mode recovery: on an error inside rule A (outside
         # speculation), report it, consume tokens until a token some
         # rule on the invocation stack can use (sync-and-return), and
@@ -127,8 +122,7 @@ class LLStarParser(Predictor):
                  options: Optional[ParserOptions] = None):
         options = options or ParserOptions()
         super().__init__(stream, len(analysis.records),
-                         budget=options.budget, profiler=options.profiler,
-                         telemetry=options.telemetry, trace=options.trace)
+                         budget=options.budget, telemetry=options.telemetry)
         self.analysis = analysis
         self.grammar = analysis.grammar
         self.atn = analysis.atn
@@ -283,16 +277,15 @@ class LLStarParser(Predictor):
         else:
             frame = {"ctx": node}
         closed = False
+        failed = True
         impure_mark = self._impure_ops
-        trace = self._trace
-        if trace is not None:
-            trace.enter_rule(rule_name, self.stream.index, self.speculating)
         tel = self._telemetry
         rule_span = None
         if tel is not None and not self._speculating:
             tel.record_rule(rule_name)
             if tel.trace_rules:
-                rule_span = tel.start_span("rule:" + rule_name)
+                rule_span = tel.start_span("rule:" + rule_name,
+                                           self.stream.index)
         self._rule_depth += 1
         try:
             budget = self._budget
@@ -306,11 +299,10 @@ class LLStarParser(Predictor):
                 self._check_deadline()
             try:
                 self._walk(program, frame, node)
+                failed = False
             except RecognitionError as error:
                 if memo_key is not None:
                     self._memo[memo_key] = _MEMO_FAILED
-                if trace is not None:
-                    trace.exit_rule(rule_name, self.stream.index, failed=True)
                 if self._recover_errors and not self._speculating:
                     self._recover(rule_name, error)
                     if node is not None:
@@ -325,11 +317,9 @@ class LLStarParser(Predictor):
         finally:
             self._rule_depth -= 1
             if rule_span is not None:
-                tel.end_span(rule_span)
+                tel.end_span(rule_span, self.stream.index, failed)
         if memo_key is not None:
             self._memo[memo_key] = self.stream.index
-        if trace is not None:
-            trace.exit_rule(rule_name, self.stream.index, failed=False)
         if node is not None:
             if (self._track_look and not program.params
                     and self._impure_ops == impure_mark):
@@ -555,7 +545,7 @@ class LLStarParser(Predictor):
         shared record so later parses hit the fast path, and record a
         structured degradation event instead of failing the parse."""
         from repro.analysis.construction import AnalysisOptions, DecisionAnalyzer
-        from repro.runtime.profiler import DegradationEvent
+        from repro.runtime.telemetry import DegradationEvent
 
         analyzer = DecisionAnalyzer(self.atn, decision,
                                     start_rule=self.grammar.start_rule,
@@ -565,8 +555,6 @@ class LLStarParser(Predictor):
         event = DegradationEvent(decision, record.rule_name,
                                  "decision DFA rebuilt at parse time")
         self.degradations.append(event)
-        if self.options.profiler is not None:
-            self.options.profiler.record_degradation(event)
         if self._telemetry is not None:
             self._telemetry.record_degradation(event)
         return dfa

@@ -46,18 +46,15 @@ from repro.exceptions import (
 class Predictor:
     """Per-parse prediction state plus the Figure-5 table walk.
 
-    ``budget``, ``profiler``, ``telemetry`` and ``trace`` are the
-    optional instruments of :class:`~repro.runtime.parser.ParserOptions`;
-    ``None`` keeps each hook a single check on the hot path.
+    ``budget`` and ``telemetry`` are the optional instruments of
+    :class:`~repro.runtime.parser.ParserOptions`; ``None`` keeps each
+    hook a single check on the hot path.
     """
 
-    def __init__(self, stream, n_decisions: int, budget=None, profiler=None,
-                 telemetry=None, trace=None):
+    def __init__(self, stream, n_decisions: int, budget=None, telemetry=None):
         self.stream = stream
         self._budget = budget
-        self._profiler = profiler
         self._telemetry = telemetry
-        self._trace = trace
         self._speculating = 0
         # Highest stream index any active speculation has consumed up
         # to; synpred depth is measured from it.
@@ -107,9 +104,9 @@ class Predictor:
     def _adaptive_predict(self, decision: int, frame: Dict[str, Any]) -> int:
         """Run the lookahead DFA for ``decision`` (Figure 5 rules).
 
-        Returns the predicted 1-based alternative.  Reports the event to
-        the profiler, telemetry and trace with the lookahead depth used
-        and any backtracking.
+        Returns the predicted 1-based alternative.  Reports a committed
+        prediction to the telemetry in one call, with the lookahead depth
+        used, any backtracking, and why it left the DFA.
         """
         degraded = False
         row = self._table_rows[decision]
@@ -198,27 +195,16 @@ class Predictor:
                 reach = self.stream.index + max(probed - 1, backtrack_depth)
                 if reach > self._look_hwm:
                     self._look_hwm = reach
-            depth = max(offset, 1)
-            if self._profiler is not None and not self._speculating:
-                self._profiler.record(decision, depth, backtracked,
-                                      backtrack_depth)
             tel = self._telemetry
             if tel is not None and not self._speculating:
-                tel.record_predict(decision, table.rule_name, depth,
-                                   dfa_hit=not (used_predicates or degraded),
-                                   backtracked=backtracked,
-                                   backtrack_depth=backtrack_depth,
-                                   index=self.stream.index)
+                fallbacks = ()
                 if used_predicates:
-                    tel.record_fallback(
-                        decision, table.rule_name,
-                        "synpred" if backtracked else "predicates",
-                        self.stream.index)
+                    fallbacks = ("synpred",) if backtracked else ("predicates",)
                 if degraded:
-                    tel.record_fallback(decision, table.rule_name,
-                                        "degraded", self.stream.index)
-            if self._trace is not None:
-                self._trace.predict(decision, depth, backtracked)
+                    fallbacks += ("degraded",)
+                tel.record_predict(decision, table.rule_name, max(offset, 1),
+                                   not fallbacks, backtracked, backtrack_depth,
+                                   self.stream.index, fallbacks)
 
     def _evaluate_gates(self, table, state: int, frame: Dict[str, Any]):
         """Try ``state``'s predicate edges in stored (evaluation) order;
@@ -288,7 +274,8 @@ class Predictor:
         prev_deepest = self._deepest_spec_index
         self._deepest_spec_index = mark
         tel = self._telemetry
-        spec_span = tel.start_span("synpred:" + name) if tel is not None else None
+        spec_span = (tel.start_span("synpred:" + name, mark)
+                     if tel is not None else None)
         error = None
         matched = False
         try:
@@ -301,7 +288,7 @@ class Predictor:
             self._deepest_spec_index = max(prev_deepest, self._deepest_spec_index)
             self._speculating -= 1
             if spec_span is not None:
-                tel.end_span(spec_span)
+                tel.end_span(spec_span, stream.index, not matched)
                 tel.record_synpred(name, matched)
             # The memo table persists for the whole parse (ANTLR policy):
             # repeated speculation of the same rule at the same position

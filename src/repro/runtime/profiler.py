@@ -1,9 +1,11 @@
-"""Decision-event profiling: the instrument behind Tables 2-4.
+"""Per-decision profiling: the store behind Tables 3-4.
 
-The parser reports one event per prediction: which decision ran, how many
-tokens of lookahead the DFA examined, whether the decision backtracked
-(evaluated a synpred speculatively), and how deep the speculation looked.
-``ProfileReport`` then aggregates exactly the columns the paper reports:
+A :class:`~repro.runtime.telemetry.ParseTelemetry` folds every committed
+prediction into its :class:`DecisionProfiler`: which decision ran, how
+many tokens of lookahead the DFA examined, whether the decision
+backtracked (evaluated a synpred speculatively), and how deep the
+speculation looked.  ``ProfileReport`` then aggregates exactly the
+columns the paper reports:
 
 * Table 3 — decisions covered (``n``), ``avg k``, ``backtrack k``
   (average speculation depth over backtracking events only), ``max k``;
@@ -15,7 +17,7 @@ tokens of lookahead the DFA examined, whether the decision backtracked
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Set
+from typing import Dict, Optional, Set
 
 
 class DecisionStats:
@@ -63,29 +65,11 @@ class DecisionStats:
                 % (self.decision, self.events, self.avg_depth, self.backtrack_events))
 
 
-class DegradationEvent:
-    """One graceful-degradation occurrence: a decision ran without its
-    precomputed artifact (e.g. the cached DFA was corrupt) and the
-    runtime fell back to on-the-fly analysis instead of failing."""
-
-    __slots__ = ("decision", "rule_name", "reason")
-    kind = "degradation"
-
-    def __init__(self, decision: int, rule_name: str, reason: str):
-        self.decision = decision
-        self.rule_name = rule_name
-        self.reason = reason
-
-    def __repr__(self):
-        return "DegradationEvent(d%d in %s: %s)" % (
-            self.decision, self.rule_name, self.reason)
-
-
 class DecisionProfiler:
-    """Collects decision events during a parse; attach via ParserOptions.
+    """Per-decision aggregates; each telemetry owns one (``.profiler``).
 
-    Thread-safe: one profiler may be shared across concurrent parses of
-    a batch.  Each ``record`` is a read-modify-write of several counters,
+    Thread-safe: one profiler may be fed by concurrent parses of a
+    batch.  Each ``record`` is a read-modify-write of several counters,
     so without the lock simultaneous events silently under-count (the
     classic lost-update race); the uncontended acquire is cheap next to
     the prediction it instruments.
@@ -94,21 +78,22 @@ class DecisionProfiler:
     def __init__(self):
         self.stats: Dict[int, DecisionStats] = {}
         self.total_events = 0
-        self.degradations: List[DegradationEvent] = []
         self._lock = threading.Lock()
 
     def record(self, decision: int, depth: int, backtracked: bool = False,
                backtrack_depth: int = 0) -> None:
         with self._lock:
-            stats = self.stats.get(decision)
-            if stats is None:
-                stats = self.stats[decision] = DecisionStats(decision)
-            stats.record(depth, backtracked, backtrack_depth)
-            self.total_events += 1
+            self._record(decision, depth, backtracked, backtrack_depth)
 
-    def record_degradation(self, event: DegradationEvent) -> None:
-        with self._lock:
-            self.degradations.append(event)
+    def _record(self, decision: int, depth: int, backtracked: bool,
+                backtrack_depth: int) -> None:
+        """:meth:`record` for a caller already holding the lock (the
+        owning telemetry's ``record_predict``)."""
+        stats = self.stats.get(decision)
+        if stats is None:
+            stats = self.stats[decision] = DecisionStats(decision)
+        stats.record(depth, backtracked, backtrack_depth)
+        self.total_events += 1
 
     def merge(self, other: "DecisionProfiler") -> None:
         """Fold another profiler's aggregates into this one.
@@ -116,10 +101,9 @@ class DecisionProfiler:
         The corpus-aggregation half of :mod:`repro.batch`: each pool
         worker profiles its own inputs and the parent merges the
         (pickled) profilers into one corpus-level report.  Per-decision
-        stats sum (maxima take the max) and degradation events append;
-        ``other`` is left untouched.  Merging a profiler into itself
-        would double every aggregate (and self-deadlock on the lock), so
-        it raises ``ValueError``.
+        stats sum (maxima take the max); ``other`` is left untouched.
+        Merging a profiler into itself would double every aggregate (and
+        self-deadlock on the lock), so it raises ``ValueError``.
         """
         if other is self:
             raise ValueError("cannot merge a DecisionProfiler into itself")
@@ -130,27 +114,23 @@ class DecisionProfiler:
                     stats = self.stats[decision] = DecisionStats(decision)
                 stats.merge(theirs)
             self.total_events += other.total_events
-            self.degradations.extend(other.degradations)
 
     # A profiler crosses process boundaries when batch workers return
     # their per-chunk aggregates; the lock is per-process state, so it is
     # dropped on pickle and recreated fresh on load.
 
     def __getstate__(self):
-        return {"stats": self.stats, "total_events": self.total_events,
-                "degradations": self.degradations}
+        return {"stats": self.stats, "total_events": self.total_events}
 
     def __setstate__(self, state):
         self.stats = state["stats"]
         self.total_events = state["total_events"]
-        self.degradations = state["degradations"]
         self._lock = threading.Lock()
 
     def reset(self) -> None:
         with self._lock:
             self.stats.clear()
             self.total_events = 0
-            self.degradations.clear()
 
     def report(self, analysis=None) -> "ProfileReport":
         return ProfileReport(self, analysis)

@@ -1,37 +1,34 @@
-"""Structured parse-time observability: events, spans, metrics, exporters.
+"""Structured parse-time observability: the one observer a parser talks to.
 
 The paper's evaluation (Tables 2-4) is built on instrumenting prediction
 — lookahead depth, backtracking frequency, DFA coverage.
-:class:`~repro.runtime.profiler.DecisionProfiler` computes those
-aggregates in memory; this module is the production counterpart: a
-structured event stream plus a metrics registry with machine-readable
-export, so "why was this parse slow?" is answerable from a metrics
-endpoint instead of a debugger.
+:class:`ParseTelemetry` receives every committed prediction, rule
+invocation, speculation, repair and degradation as one hook call, and
+every view of that stream reads what it keeps:
 
-Three layers:
-
-* **Events** — one small object per interesting occurrence
-  (:class:`PredictEvent`, :class:`DfaFallbackEvent`,
-  :class:`RecoveryEvent`, :class:`CacheEvent`, :class:`SpanEvent`; the
-  existing :class:`~repro.runtime.profiler.DegradationEvent` is carried
-  through unchanged).  The event list is bounded — a pathological parse
-  cannot OOM the observer — with a drop counter so truncation is visible.
+* **Per-decision store** — :attr:`ParseTelemetry.profiler`, the
+  :class:`~repro.runtime.profiler.DecisionProfiler` behind Tables 3-4;
+  :meth:`ParseTelemetry.report` is the paper-table view over it.
 * **Metrics** — :class:`MetricsRegistry` holds counters, gauges, and
   histograms (DFA hit vs ATN-fallback rate, realized-k distribution,
   recovery attempts, cache hit/miss/evict, peak streaming window) and
-  exports them as JSON (:meth:`MetricsRegistry.to_json`) or Prometheus
-  text exposition format (:meth:`MetricsRegistry.to_prometheus`).
+  exports them as JSON or Prometheus text exposition format.
+* **Events** — with ``capture_events`` on, one small object per
+  occurrence (:class:`PredictEvent`, :class:`DfaFallbackEvent`, ...);
+  none is built while it is off.  The list is bounded, with a drop
+  counter so truncation is visible.
 * **Spans** — nested wall-clock timing for rule invocation and synpred
   speculation (:meth:`ParseTelemetry.span`), aggregated into per-kind
-  latency histograms.
+  latency histograms; nesting depth is per thread.
+* **Trace** — :class:`TraceTelemetry` renders rule spans, predictions
+  and speculation spans as the ``llstar parse --trace`` transcript.
 
-:class:`ParseTelemetry` is the facade the runtime talks to; attach one
-via ``ParserOptions(telemetry=...)`` / ``compile_grammar(telemetry=...)``
-or the CLI's ``--metrics-out``.  Every hook is a no-op ``None`` check
-when telemetry is not attached, so the disabled cost is one attribute
-load per event site (``benchmarks/test_telemetry_overhead.py`` bounds
-it).  ``record_*`` methods take an internal lock, so one telemetry
-object can observe concurrent parses of a batch without losing events.
+Attach one via ``ParserOptions(telemetry=...)`` /
+``compile_grammar(telemetry=...)`` or the CLI's ``--metrics-out``.
+Every hook is a no-op ``None`` check when telemetry is not attached
+(``benchmarks/test_telemetry_overhead.py`` bounds the cost).  ``record_*``
+methods take one internal lock, so one telemetry object can observe
+concurrent parses of a batch without losing events.
 """
 
 from __future__ import annotations
@@ -43,9 +40,12 @@ from bisect import bisect_left
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.runtime.profiler import DecisionProfiler, ProfileReport
+
 __all__ = [
     "CacheEvent",
     "Counter",
+    "DegradationEvent",
     "DfaFallbackEvent",
     "Gauge",
     "Histogram",
@@ -56,6 +56,7 @@ __all__ = [
     "RecoveryEvent",
     "ReuseEvent",
     "SpanEvent",
+    "TraceTelemetry",
 ]
 
 
@@ -173,6 +174,24 @@ class CacheEvent:
 
     def __repr__(self):
         return "CacheEvent(%s %s)" % (self.operation, self.key[:16])
+
+
+class DegradationEvent:
+    """One graceful-degradation occurrence: a decision ran without its
+    precomputed artifact (e.g. the cached DFA was corrupt) and the
+    runtime fell back to on-the-fly analysis instead of failing."""
+
+    __slots__ = ("decision", "rule_name", "reason")
+    kind = "degradation"
+
+    def __init__(self, decision: int, rule_name: str, reason: str):
+        self.decision = decision
+        self.rule_name = rule_name
+        self.reason = reason
+
+    def __repr__(self):
+        return "DegradationEvent(d%d in %s: %s)" % (
+            self.decision, self.rule_name, self.reason)
 
 
 class ReuseEvent:
@@ -552,21 +571,27 @@ class ParseTelemetry:
     growing).  ``trace_rules`` additionally opens a span per rule
     invocation — precise but hot, so it is opt-in; synpred speculation
     spans are always taken (speculation is the expensive path worth
-    timing).  All ``record_*`` entry points are serialized by one lock,
-    so a telemetry object shared across threads never drops counts.
+    timing).  All ``record_*`` entry points (and :attr:`profiler`) are
+    serialized by one lock, so a telemetry shared across threads never
+    drops counts.
     """
 
     def __init__(self, capture_events: bool = True, max_events: int = 10_000,
                  trace_rules: bool = False, clock=time.perf_counter):
         self.metrics = MetricsRegistry()
+        #: Tables 3-4's per-decision store, fed by :meth:`record_predict`.
+        self.profiler = DecisionProfiler()
         self.events: List[Any] = []
         self.capture_events = capture_events
         self.max_events = max_events
         self.trace_rules = trace_rules
         self.dropped_events = 0
         self._clock = clock
-        self._span_depth = 0
-        self._lock = threading.Lock()
+        self._lock = self.profiler._lock
+        self._local = threading.local()  # per-thread span nesting depth
+        # Labelled metrics by (name, label value or span name), cached
+        # at first use, never before: an unused label exports no sample.
+        self._labelled: Dict[Tuple[str, str], Any] = {}
         m = self.metrics
         # Pre-resolved hot-path handles (no registry lookup per event).
         self._predictions = m.counter(
@@ -618,12 +643,19 @@ class ParseTelemetry:
     # -- event plumbing --------------------------------------------------------
 
     def _emit(self, event) -> None:
-        if not self.capture_events:
-            return
+        """Keep ``event`` (callers build one only when capturing)."""
         if len(self.events) < self.max_events:
             self.events.append(event)
         else:
             self.dropped_events += 1
+
+    def _count(self, name: str, help: str, label: str, value: str) -> None:
+        """Increment the labelled counter ``name{label=value}``."""
+        counter = self._labelled.get((name, value))
+        if counter is None:
+            counter = self._labelled[(name, value)] = self.metrics.counter(
+                name, help, labels={label: value})
+        counter.value += 1
 
     def events_by_kind(self, kind: str) -> List[Any]:
         return [e for e in self.events if e.kind == kind]
@@ -632,55 +664,57 @@ class ParseTelemetry:
 
     def record_predict(self, decision: int, rule_name: str, k: int,
                        dfa_hit: bool, backtracked: bool, backtrack_depth: int,
-                       index: int) -> None:
+                       index: int, fallbacks: Tuple[str, ...] = ()) -> None:
+        """One committed prediction.  ``fallbacks`` names why it left the
+        DFA (``predicates`` or ``synpred``, and ``degraded``)."""
         with self._lock:
-            self._predictions.inc()
+            self.profiler._record(decision, k, backtracked, backtrack_depth)
+            self._predictions.value += 1
             self._realized_k.observe(k)
             if dfa_hit:
-                self._dfa_hits.inc()
+                self._dfa_hits.value += 1
             else:
-                self._fallbacks.inc()
+                self._fallbacks.value += 1
+                for reason in fallbacks:
+                    self._count("llstar_fallback_reasons_total",
+                                "why predictions left the DFA", "reason", reason)
             if backtracked:
-                self._backtracks.inc()
+                self._backtracks.value += 1
                 self._backtrack_depth.observe(backtrack_depth)
-            self._emit(PredictEvent(decision, rule_name, k, dfa_hit,
-                                    backtracked, backtrack_depth, index))
-
-    def record_fallback(self, decision: int, rule_name: str, reason: str,
-                        index: int) -> None:
-        with self._lock:
-            self.metrics.counter(
-                "llstar_fallback_reasons_total",
-                "why predictions left the DFA", labels={"reason": reason}).inc()
-            self._emit(DfaFallbackEvent(decision, rule_name, reason, index))
+            if self.capture_events:
+                self._emit(PredictEvent(decision, rule_name, k, dfa_hit,
+                                        backtracked, backtrack_depth, index))
+                for reason in fallbacks:
+                    self._emit(DfaFallbackEvent(decision, rule_name, reason,
+                                                index))
 
     def record_synpred(self, rule_name: str, matched: bool) -> None:
         with self._lock:
-            self._synpreds.inc()
-            self.metrics.counter(
-                "llstar_synpred_outcomes_total", "speculation outcomes",
-                labels={"outcome": "matched" if matched else "failed"}).inc()
+            self._synpreds.value += 1
+            self._count("llstar_synpred_outcomes_total", "speculation outcomes",
+                        "outcome", "matched" if matched else "failed")
 
     def record_rule(self, rule_name: str) -> None:
         with self._lock:
-            self._rules.inc()
+            self._rules.value += 1
 
     def record_recovery(self, repair: str, rule_name: str, index: int,
                         skipped: int = 0) -> None:
         with self._lock:
-            self.metrics.counter(
-                "llstar_recovery_events_total", "error repairs by kind",
-                labels={"kind": repair}).inc()
+            self._count("llstar_recovery_events_total", "error repairs by kind",
+                        "kind", repair)
             if skipped:
                 self._recovery_skipped.inc(skipped)
-            self._emit(RecoveryEvent(repair, rule_name, index, skipped))
+            if self.capture_events:
+                self._emit(RecoveryEvent(repair, rule_name, index, skipped))
 
     def record_reuse(self, rule_name: str, start: int, stop: int) -> None:
         """One subtree graft covering (new) token span ``[start, stop]``."""
         with self._lock:
             self._reused_nodes.inc()
             self._reused_tokens.inc(stop - start + 1)
-            self._emit(ReuseEvent(rule_name, start, stop))
+            if self.capture_events:
+                self._emit(ReuseEvent(rule_name, start, stop))
 
     def record_incremental_edit(self, relexed_chars: int, damaged_tokens: int,
                                 shifted_tokens: int, reused_nodes: int,
@@ -688,22 +722,23 @@ class ParseTelemetry:
         with self._lock:
             self._incremental_edits.inc()
             self._incremental_relexed.inc(relexed_chars)
-            self._emit(IncrementalEditEvent(
-                relexed_chars, damaged_tokens, shifted_tokens,
-                reused_nodes, reused_tokens, total_tokens))
+            if self.capture_events:
+                self._emit(IncrementalEditEvent(
+                    relexed_chars, damaged_tokens, shifted_tokens,
+                    reused_nodes, reused_tokens, total_tokens))
 
     def record_cache(self, operation: str, key: str, detail: str = "") -> None:
         with self._lock:
-            self.metrics.counter(
-                "llstar_cache_events_total", "artifact-cache operations",
-                labels={"op": operation}).inc()
-            self._emit(CacheEvent(operation, key, detail))
+            self._count("llstar_cache_events_total", "artifact-cache operations",
+                        "op", operation)
+            if self.capture_events:
+                self._emit(CacheEvent(operation, key, detail))
 
-    def record_degradation(self, event) -> None:
-        """``event`` is a :class:`~repro.runtime.profiler.DegradationEvent`."""
+    def record_degradation(self, event: DegradationEvent) -> None:
         with self._lock:
             self._degradations.inc()
-            self._emit(event)
+            if self.capture_events:
+                self._emit(event)
 
     def observe_stream_window(self, peak: int) -> None:
         with self._lock:
@@ -711,21 +746,29 @@ class ParseTelemetry:
 
     # -- spans -----------------------------------------------------------------
 
-    def start_span(self, name: str) -> _OpenSpan:
-        span = _OpenSpan(name, self._span_depth, self._clock())
-        self._span_depth += 1
-        return span
+    def start_span(self, name: str, index: int = -1) -> _OpenSpan:
+        """Open span ``name`` (``kind:detail``) at token ``index``."""
+        local = self._local
+        depth = getattr(local, "depth", 0)
+        local.depth = depth + 1
+        return _OpenSpan(name, depth, self._clock())
 
-    def end_span(self, span: _OpenSpan) -> float:
+    def end_span(self, span: _OpenSpan, index: int = -1,
+                 failed: bool = False) -> float:
+        """Close ``span`` at token ``index``; ``failed``: it ended in error."""
         elapsed = self._clock() - span.started
+        self._local.depth = span.depth
+        key = ("llstar_span_seconds", span.name)
         with self._lock:
-            self._span_depth = span.depth
-            span_kind = span.name.split(":", 1)[0]
-            self.metrics.histogram(
-                "llstar_span_seconds", "nested span latency by kind",
-                labels={"kind": span_kind}, buckets=LATENCY_BUCKETS
-            ).observe(elapsed)
-            self._emit(SpanEvent(span.name, span.depth, elapsed))
+            hist = self._labelled.get(key)
+            if hist is None:
+                hist = self._labelled[key] = self.metrics.histogram(
+                    key[0], "nested span latency by kind",
+                    labels={"kind": span.name.split(":", 1)[0]},
+                    buckets=LATENCY_BUCKETS)
+            hist.observe(elapsed)
+            if self.capture_events:
+                self._emit(SpanEvent(span.name, span.depth, elapsed))
         return elapsed
 
     @contextmanager
@@ -737,6 +780,10 @@ class ParseTelemetry:
             self.end_span(handle)
 
     # -- derived views ---------------------------------------------------------
+
+    def report(self, analysis=None) -> ProfileReport:
+        """Tables 3-4 over every committed prediction recorded so far."""
+        return self.profiler.report(analysis)
 
     @property
     def dfa_hit_rate(self) -> float:
@@ -765,3 +812,48 @@ class ParseTelemetry:
     def __repr__(self):
         return ("ParseTelemetry(%d events, %d predictions, hit rate %.2f)"
                 % (len(self.events), self._predictions.value, self.dfa_hit_rate))
+
+
+class TraceTelemetry(ParseTelemetry):
+    """A telemetry (rule spans on) that also writes the ``llstar parse
+    --trace`` transcript from the hooks it receives, indented by span
+    depth: ``enter R @i`` / ``exit R @j [FAILED]`` per rule span,
+    ``predict dN k=K [(backtracked)]`` per committed prediction, and
+    ``speculate S @i`` / ``end S @j [FAILED]`` per speculation."""
+
+    def __init__(self, **kwargs):
+        super().__init__(trace_rules=True, **kwargs)
+        self.lines: List[str] = []
+
+    def _line(self, depth: int, text: str) -> None:
+        self.lines.append("  " * depth + text)
+
+    def start_span(self, name: str, index: int = -1) -> _OpenSpan:
+        span = super().start_span(name, index)
+        kind, _, what = name.partition(":")
+        if kind in _TRACE_VERBS:
+            self._line(span.depth, "%s %s @%d" % (_TRACE_VERBS[kind][0], what,
+                                                  index))
+        return span
+
+    def end_span(self, span: _OpenSpan, index: int = -1,
+                 failed: bool = False) -> float:
+        elapsed = super().end_span(span, index, failed)
+        kind, _, what = span.name.partition(":")
+        if kind in _TRACE_VERBS:
+            self._line(span.depth, "%s %s @%d%s" % (
+                _TRACE_VERBS[kind][1], what, index, " FAILED" if failed else ""))
+        return elapsed
+
+    def record_predict(self, decision: int, rule_name: str, k: int,
+                       dfa_hit: bool, backtracked: bool, *rest) -> None:
+        super().record_predict(decision, rule_name, k, dfa_hit, backtracked, *rest)
+        self._line(getattr(self._local, "depth", 0), "predict d%d k=%d%s" % (
+            decision, k, " (backtracked)" if backtracked else ""))
+
+    def transcript(self) -> str:
+        return "\n".join(self.lines)
+
+
+#: (open, close) transcript verbs for the span kinds a trace renders.
+_TRACE_VERBS = {"rule": ("enter", "exit"), "synpred": ("speculate", "end")}

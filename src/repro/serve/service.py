@@ -18,7 +18,7 @@ has grown:
   through half-open probes;
 * graceful degradation: when the worker pool keeps dying, the service
   falls back to inline parsing at reduced concurrency, emits a
-  :class:`~repro.runtime.profiler.DegradationEvent`, and periodically
+  :class:`~repro.runtime.telemetry.DegradationEvent`, and periodically
   probes whether a fresh pool survives;
 * live Prometheus ``/metrics``, ``/healthz`` + ``/readyz``, and a
   graceful drain used by the SIGTERM handler.
@@ -37,8 +37,7 @@ from typing import Dict, List, Optional
 
 from repro.exceptions import BudgetExceededError
 from repro.runtime.budget import ParserBudget
-from repro.runtime.profiler import DegradationEvent
-from repro.runtime.telemetry import LATENCY_BUCKETS, ParseTelemetry
+from repro.runtime.telemetry import LATENCY_BUCKETS, DegradationEvent, ParseTelemetry
 from repro.serve.admission import AdmissionController
 from repro.serve.breaker import STATE_CODES, CircuitBreaker
 from repro.serve.errors import (
@@ -537,6 +536,9 @@ class ParseService:
                 response = await self._handle_parse(body)
                 route = "POST /parse"
             else:
+                # One label value for every unknown route: a client's
+                # paths must not each add a series to /metrics.
+                route = "unmatched"
                 response = Response(404, {
                     "ok": False, "error_type": "NotFound",
                     "error": "no route %s %s" % (method, path)})

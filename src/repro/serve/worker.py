@@ -69,7 +69,7 @@ def _host_for(task: ParseTask):
 
 
 def execute_parse(task: ParseTask, host=None, telemetry=None,
-                  profiler=None, in_worker: bool = False) -> dict:
+                  in_worker: bool = False) -> dict:
     """Run one parse task to a plain-dict outcome; never raises for
     input- or budget-level failures (they come back typed in the dict).
     """
@@ -100,7 +100,7 @@ def execute_parse(task: ParseTask, host=None, telemetry=None,
         outcome["tokens"] = max(0, len(stream.tokens()) - 1)  # minus EOF
         parser = host.parser(stream, options=ParserOptions(
             recover=task.recover, budget=task.budget, telemetry=telemetry,
-            profiler=profiler, build_tree=task.want_tree))
+            build_tree=task.want_tree))
         tree = parser.parse(task.rule_name)
         outcome["syntax_errors"] = [
             "%s: %s" % (e.position, e) for e in parser.errors]

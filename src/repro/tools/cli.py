@@ -15,8 +15,9 @@ Subcommands::
                     [--cache DIR] [--stdio]
 
 ``analyze`` prints a Table-1-style decision summary; ``profile`` replays
-an input under the profiler + telemetry and prints the Table-3/4 runtime
-statistics.  ``batch`` parses a whole corpus over a pool of worker
+an input under a telemetry and prints the Table-3/4 runtime statistics
+from its per-decision store; ``parse --trace`` prints the telemetry's
+transcript.  ``batch`` parses a whole corpus over a pool of worker
 processes, each warm-started once from the compiled artifact (see
 :mod:`repro.batch`), and reports aggregate throughput plus merged
 metrics.  ``--metrics-out`` exports the telemetry registry (DFA hit
@@ -38,10 +39,8 @@ from repro.api import compile_grammar
 from repro.atn.dot import dfa_to_dot
 from repro.codegen import generate_python
 from repro.exceptions import LLStarError
-from repro.runtime.debug import TraceListener
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
-from repro.runtime.telemetry import ParseTelemetry
+from repro.runtime.telemetry import ParseTelemetry, TraceTelemetry
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
@@ -322,11 +321,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    telemetry = _telemetry_for(args)
+    telemetry = TraceTelemetry() if args.trace else _telemetry_for(args)
     host = _load_host(args, telemetry=telemetry)
-    trace = TraceListener(echo=False) if args.trace else None
-    options = ParserOptions(trace=trace, recover=args.recover,
-                            telemetry=telemetry)
+    options = ParserOptions(recover=args.recover, telemetry=telemetry)
     text = _read_input(args.input)
     parser = host.parser(text, options=options)
     try:
@@ -336,8 +333,8 @@ def cmd_parse(args) -> int:
         # that is the whole point of the observability layer.
         if telemetry is not None:
             _write_metrics(telemetry, args)
-    if args.trace and trace is not None:
-        print(trace.transcript())
+    if args.trace:
+        print(telemetry.transcript())
     if args.tree and tree is not None:
         print(tree.to_sexpr())
     if parser.errors:
@@ -397,10 +394,9 @@ def cmd_profile(args) -> int:
     telemetry = _telemetry_for(args) or ParseTelemetry(
         trace_rules=args.trace_rules)
     host = _load_host(args, telemetry=telemetry)
-    profiler = DecisionProfiler()
     host.parse(_read_input(args.input), rule_name=args.rule,
-               options=ParserOptions(profiler=profiler, telemetry=telemetry))
-    report = profiler.report(host.analysis)
+               options=ParserOptions(telemetry=telemetry))
+    report = telemetry.report(host.analysis)
     if args.metrics_out:
         _write_metrics(telemetry, args)
     if args.json:
@@ -421,13 +417,10 @@ def cmd_profile(args) -> int:
         print()
         print("%-6s %-20s %8s %8s %8s %10s" % (
             "dec", "rule", "events", "avg k", "max k", "backtracks"))
-        for decision in sorted(profiler.stats):
-            stats = profiler.stats[decision]
-            record = host.analysis.records[decision]
+        for row in profile_to_dict(report)["per_decision"]:
             print("%-6d %-20s %8d %8.2f %8d %10d" % (
-                decision, record.rule_name, stats.events, stats.avg_depth,
-                max(stats.max_depth, stats.max_backtrack_depth),
-                stats.backtrack_events))
+                row["decision"], host.analysis.records[row["decision"]].rule_name,
+                row["events"], row["avg_k"], row["max_k"], row["backtracks"]))
     return 0
 
 

@@ -1,7 +1,7 @@
 """Evaluation report generator: the paper's Section 6 as a library call.
 
 ``build_report(units=...)`` compiles the whole benchmark suite, parses
-generated workloads under the profiler, and renders Tables 1-4 plus the
+generated workloads under a telemetry, and renders Tables 1-4 plus the
 static/dynamic headline claims as text — the same numbers the
 ``benchmarks/`` harness asserts on, but available to the CLI
 (``llstar report``) and to downstream code without pytest.
@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 from repro.analysis.decisions import BACKTRACK, CYCLIC, FIXED
 from repro.grammars import PAPER_NAMES, PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 
 def format_table(title: str, header, rows) -> str:
@@ -48,11 +48,11 @@ class SuiteReport:
             host = bench.compile()
             self.static[name] = (bench, host.analysis)
             text = bench.generate_program(self.units, seed=self.seed)
-            profiler = DecisionProfiler()
+            telemetry = ParseTelemetry(capture_events=False)
             started = time.perf_counter()
-            host.parse(text, options=ParserOptions(profiler=profiler))
+            host.parse(text, options=ParserOptions(telemetry=telemetry))
             elapsed = time.perf_counter() - started
-            self.runtime[name] = (text, profiler.report(host.analysis), elapsed)
+            self.runtime[name] = (text, telemetry.report(host.analysis), elapsed)
         return self
 
     # -- tables -------------------------------------------------------------------

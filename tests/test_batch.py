@@ -108,11 +108,10 @@ class TestBatchEngine:
         single-process replay of the same inputs, metric for metric."""
         report = parse_corpus(GRAMMAR, GOOD, jobs=2, chunk_size=3)
         telemetry = ParseTelemetry(capture_events=False)
-        profiler = DecisionProfiler()
+        profiler = telemetry.profiler
         host = BatchEngine(GRAMMAR, jobs=0).host
         for _, text in GOOD:
-            host.parse(text, options=ParserOptions(
-                profiler=profiler, telemetry=telemetry))
+            host.parse(text, options=ParserOptions(telemetry=telemetry))
         for name in ("llstar_predictions_total", "llstar_dfa_hits_total",
                      "llstar_rule_invocations_total"):
             assert report.metrics.value(name) == telemetry.metrics.value(name)

@@ -23,15 +23,15 @@ from repro.cache import (
 )
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 
-def _profile_stats(profiler):
+def _profile_stats(telemetry):
     """Comparable view of every recorded decision event aggregate."""
     return {
         d: (s.events, s.sum_depth, s.max_depth, s.backtrack_events,
             s.sum_backtrack_depth, s.max_backtrack_depth)
-        for d, s in profiler.stats.items()
+        for d, s in telemetry.profiler.stats.items()
     }
 
 
@@ -88,18 +88,20 @@ class TestRoundTrip:
 
     def test_sample_parse_tree_and_profile_identical(self, pair):
         bench, cold, warm = pair
-        pc, pw = DecisionProfiler(), DecisionProfiler()
-        tc = cold.parse(bench.sample, options=ParserOptions(profiler=pc))
-        tw = warm.parse(bench.sample, options=ParserOptions(profiler=pw))
+        pc = ParseTelemetry(capture_events=False)
+        pw = ParseTelemetry(capture_events=False)
+        tc = cold.parse(bench.sample, options=ParserOptions(telemetry=pc))
+        tw = warm.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
         assert _profile_stats(pc) == _profile_stats(pw)
 
     def test_generated_workload_identical(self, pair):
         bench, cold, warm = pair
         program = bench.generate_program(6, seed=3)
-        pc, pw = DecisionProfiler(), DecisionProfiler()
-        tc = cold.parse(program, options=ParserOptions(profiler=pc))
-        tw = warm.parse(program, options=ParserOptions(profiler=pw))
+        pc = ParseTelemetry(capture_events=False)
+        pw = ParseTelemetry(capture_events=False)
+        tc = cold.parse(program, options=ParserOptions(telemetry=pc))
+        tw = warm.parse(program, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
         assert _profile_stats(pc) == _profile_stats(pw)
 

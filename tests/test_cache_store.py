@@ -137,7 +137,7 @@ class TestWarmStart:
         test pays for analysis at most once per session.
         """
         from repro.runtime.parser import ParserOptions
-        from repro.runtime.profiler import DecisionProfiler
+        from repro.runtime.telemetry import ParseTelemetry
 
         bench = load("java")
         cold = bench.compile()
@@ -151,12 +151,13 @@ class TestWarmStart:
         warm = repro.compile_grammar(bench.grammar_text, cache_dir=str(tmp_path))
         assert warm.from_cache
         assert DecisionAnalyzer.invocations == before
-        pc, pw = DecisionProfiler(), DecisionProfiler()
-        tc = cold.parse(bench.sample, options=ParserOptions(profiler=pc))
-        tw = warm.parse(bench.sample, options=ParserOptions(profiler=pw))
+        pc = ParseTelemetry(capture_events=False)
+        pw = ParseTelemetry(capture_events=False)
+        tc = cold.parse(bench.sample, options=ParserOptions(telemetry=pc))
+        tw = warm.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
-        assert {d: s.events for d, s in pc.stats.items()} \
-            == {d: s.events for d, s in pw.stats.items()}
+        assert {d: s.events for d, s in pc.profiler.stats.items()} \
+            == {d: s.events for d, s in pw.profiler.stats.items()}
 
 
 class TestCorruptionTolerance:
@@ -250,15 +251,15 @@ class TestDegradedWarmStart:
 
     def test_degraded_decision_rebuilds_on_first_parse(self, tmp_path):
         from repro.runtime.parser import ParserOptions
-        from repro.runtime.profiler import DecisionProfiler
+        from repro.runtime.telemetry import ParseTelemetry
 
         self._seed_and_corrupt_record(tmp_path)
         with pytest.warns(UserWarning):
             host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
-        profiler = DecisionProfiler()
-        tree = host.parse("a c", options=ParserOptions(profiler=profiler))
+        telemetry = ParseTelemetry()
+        tree = host.parse("a c", options=ParserOptions(telemetry=telemetry))
         assert tree is not None
-        (event,) = profiler.degradations
+        (event,) = telemetry.events_by_kind("degradation")
         assert event.decision == 0
         # The rebuilt DFA was grafted back: the record is whole again.
         assert host.degraded_decisions == []

@@ -157,7 +157,7 @@ class TestEquivalence:
         assert info.value.token.text == "d"
 
     def test_generated_profiler_hookup(self):
-        from repro.runtime.profiler import DecisionProfiler
+        from repro.runtime.telemetry import ParseTelemetry
 
         host = repro.compile_grammar(r"""
             grammar Prof;
@@ -166,9 +166,9 @@ class TestEquivalence:
             WS : [ ]+ -> skip ;
         """)
         _source, cls = load_parser(host)
-        prof = DecisionProfiler()
-        cls(host.tokenize("a b a"), profiler=prof).parse()
-        assert prof.total_events > 0
+        tel = ParseTelemetry(capture_events=False)
+        cls(host.tokenize("a b a"), telemetry=tel).parse()
+        assert tel.profiler.total_events > 0
 
     def test_parameterized_rules_in_generated_code(self):
         host = repro.compile_grammar(r"""

@@ -3,8 +3,9 @@
 The strongest integration check we have: for every suite grammar, emit
 a Python parser module, exec it, and require the generated parser to
 produce the *identical* parse tree the interpreter produces on a
-generated workload, and to report identical per-decision profiler
-statistics (lookahead depth, backtracking, speculation depth).
+generated workload, and to report identical per-decision statistics
+(lookahead depth, backtracking, speculation depth) and telemetry
+prediction, fallback, backtrack and synpred counters.
 """
 
 import pytest
@@ -13,7 +14,13 @@ from repro.codegen import generate_python
 from repro.codegen.support import GeneratedParser
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
+from tests.test_prediction_golden import TELEMETRY_METRICS
+
+#: The golden prediction counters, minus rule invocations (generated
+#: parsers do not report them).
+PARITY_METRICS = tuple(m for m in TELEMETRY_METRICS
+                       if m != "llstar_rule_invocations_total")
 
 
 def load_generated(host):
@@ -26,10 +33,15 @@ def load_generated(host):
     return cls
 
 
-def decision_stats(profiler):
+def decision_stats(telemetry):
     return {d: (s.events, s.sum_depth, s.max_depth, s.backtrack_events,
                 s.sum_backtrack_depth, s.max_backtrack_depth)
-            for d, s in profiler.stats.items()}
+            for d, s in telemetry.profiler.stats.items()}
+
+
+def prediction_counters(telemetry):
+    metrics = telemetry.metrics.to_json()
+    return {m: metrics[m]["samples"] for m in PARITY_METRICS if m in metrics}
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
@@ -39,13 +51,16 @@ def test_generated_parser_matches_interpreter(name):
     cls = load_generated(host)
     for source_text in (bench.sample, bench.generate_program(6, seed=13),
                         bench.generate_program(6, seed=1)):
-        interp_profile, generated_profile = DecisionProfiler(), DecisionProfiler()
+        interp_tel = ParseTelemetry(capture_events=False)
+        generated_tel = ParseTelemetry(capture_events=False)
         expected = host.parse(source_text,
-                              options=ParserOptions(profiler=interp_profile))
+                              options=ParserOptions(telemetry=interp_tel))
         actual = cls(host.tokenize(source_text),
-                     profiler=generated_profile).parse()
+                     telemetry=generated_tel).parse()
         assert actual.to_sexpr() == expected.to_sexpr()
-        assert decision_stats(generated_profile) == decision_stats(interp_profile)
+        assert decision_stats(generated_tel) == decision_stats(interp_tel)
+        assert prediction_counters(generated_tel) == \
+            prediction_counters(interp_tel)
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)

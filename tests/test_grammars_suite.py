@@ -7,7 +7,7 @@ from repro.analysis.decisions import BACKTRACK, CYCLIC, FIXED
 from repro.baselines.earley import EarleyParser
 from repro.grammars import ALL, PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 # Compiled hosts are cached on the registry entries, so the suite only
 # pays for analysis once per grammar per test session.
@@ -63,10 +63,10 @@ class TestSuiteGrammars:
     def test_profile_avg_k_small(self, bench):
         """Table 3: runtime average lookahead is one-or-two tokens."""
         host = bench.compile()
-        profiler = DecisionProfiler()
+        telemetry = ParseTelemetry(capture_events=False)
         host.parse(bench.generate_program(10, seed=11),
-                   options=ParserOptions(profiler=profiler))
-        report = profiler.report(host.analysis)
+                   options=ParserOptions(telemetry=telemetry))
+        report = telemetry.report(host.analysis)
         assert 1.0 <= report.avg_k < 3.0
         assert report.total_events > 50
 

@@ -46,7 +46,7 @@ class TestIntroductionClaims:
     def test_graceful_throttle_within_one_decision(self):
         """"Even within the same parsing decision, the parser decides on
         a strategy dynamically according to the input sequence."""
-        from repro.runtime.profiler import DecisionProfiler
+        from repro.runtime.telemetry import ParseTelemetry
 
         host = repro.compile_grammar(r"""
             grammar T;
@@ -57,9 +57,9 @@ class TestIntroductionClaims:
         """, options=AnalysisOptions(max_recursion_depth=1))
 
         def depth_and_backtracks(text):
-            p = DecisionProfiler()
-            host.parse(text, options=ParserOptions(profiler=p))
-            stats = p.stats[0]
+            p = ParseTelemetry(capture_events=False)
+            host.parse(text, options=ParserOptions(telemetry=p))
+            stats = p.profiler.stats[0]
             return stats.max_depth, stats.backtrack_events
 
         assert depth_and_backtracks("x") == (1, 0)        # k = 1
@@ -110,14 +110,14 @@ class TestIntroductionClaims:
     def test_recursive_descent_is_debuggable(self):
         """One-to-one mapping of grammar elements to parser operations:
         the trace of rule entries mirrors the derivation."""
-        from repro.runtime.debug import TraceListener
+        from repro.runtime.telemetry import TraceTelemetry
 
         host = repro.compile_grammar(
             "grammar D; s : a b ; a : A ; b : B ; A:'a'; B:'b';")
-        trace = TraceListener()
+        trace = TraceTelemetry()
         host.parse(host.token_stream_from_types(["A", "B"]),
-                   options=ParserOptions(trace=trace))
-        entered = [e.split()[1] for e in trace.events if "enter" in e]
+                   options=ParserOptions(telemetry=trace))
+        entered = [e.split()[1] for e in trace.lines if "enter" in e]
         assert entered == ["s", "a", "b"]
 
 
@@ -126,14 +126,14 @@ class TestConclusionClaims:
         """"Experiments reveal that ANTLR generates efficient parsers,
         eliminating almost all backtracking."""
         from repro.grammars import load
-        from repro.runtime.profiler import DecisionProfiler
+        from repro.runtime.telemetry import ParseTelemetry
 
         bench = load("java")
         host = bench.compile()
-        profiler = DecisionProfiler()
+        telemetry = ParseTelemetry(capture_events=False)
         host.parse(bench.generate_program(15, seed=99),
-                   options=ParserOptions(profiler=profiler))
-        report = profiler.report(host.analysis)
+                   options=ParserOptions(telemetry=telemetry))
+        report = telemetry.report(host.analysis)
         assert report.backtrack_event_percent < 10.0
 
     def test_accepts_all_but_left_recursive_cfgs(self):

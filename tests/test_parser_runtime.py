@@ -10,10 +10,9 @@ from repro.exceptions import (
     MismatchedTokenError,
     NoViableAltError,
 )
-from repro.runtime.debug import TraceListener
 from repro.runtime.errors import SingleTokenDeletionStrategy
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry, TraceTelemetry
 from repro.runtime.trees import RuleNode, TokenNode, TreeVisitor
 
 
@@ -324,9 +323,9 @@ class TestMemoization:
 
 class TestProfilerIntegration:
     def test_decision_events_recorded(self, simple):
-        profiler = DecisionProfiler()
-        simple.parse("x = 1 ;", options=ParserOptions(profiler=profiler))
-        report = profiler.report()
+        telemetry = ParseTelemetry(capture_events=False)
+        simple.parse("x = 1 ;", options=ParserOptions(telemetry=telemetry))
+        report = telemetry.report()
         assert report.total_events >= 1
         assert report.avg_k >= 1.0
 
@@ -340,15 +339,15 @@ class TestProfilerIntegration:
             INT : [0-9]+ ;
             WS : [ ]+ -> skip ;
         """, options=AnalysisOptions(max_recursion_depth=1))
-        profiler = DecisionProfiler()
-        host.parse("- - - 5", options=ParserOptions(profiler=profiler))
-        report = profiler.report(host.analysis)
+        telemetry = ParseTelemetry(capture_events=False)
+        host.parse("- - - 5", options=ParserOptions(telemetry=telemetry))
+        report = telemetry.report(host.analysis)
         assert report.avg_backtrack_k > 0
         assert report.did_backtrack_decisions
 
     def test_trace_listener_records(self, simple):
-        trace = TraceListener()
-        simple.parse("x = 1 ;", options=ParserOptions(trace=trace))
+        trace = TraceTelemetry()
+        simple.parse("x = 1 ;", options=ParserOptions(telemetry=trace))
         text = trace.transcript()
         assert "enter s" in text and "exit s" in text
 

@@ -19,7 +19,6 @@ import json
 
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
-from repro.runtime.profiler import DecisionProfiler
 from repro.runtime.telemetry import ParseTelemetry
 
 UNITS = 40
@@ -78,13 +77,12 @@ def prediction_digests(name: str) -> dict:
     ``name`` parsing its Table 3 input."""
     bench = load(name)
     host = bench.compile()
-    profiler = DecisionProfiler()
     telemetry = ParseTelemetry(capture_events=False)
     host.parse(bench.generate_program(UNITS, seed=SEED),
-               options=ParserOptions(profiler=profiler, telemetry=telemetry))
+               options=ParserOptions(telemetry=telemetry))
     stats = [[d, s.events, s.sum_depth, s.max_depth, s.backtrack_events,
               s.sum_backtrack_depth, s.max_backtrack_depth]
-             for d, s in sorted(profiler.stats.items())]
+             for d, s in sorted(telemetry.profiler.stats.items())]
     metrics = telemetry.metrics.to_json()
     counters = {m: metrics[m]["samples"] for m in TELEMETRY_METRICS
                 if m in metrics}

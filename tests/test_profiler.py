@@ -92,11 +92,9 @@ class TestProfileReportMath:
 
     def test_reset_clears_everything(self):
         p = _fixture_profiler()
-        p.record_degradation(object())
         p.reset()
         assert p.total_events == 0
         assert p.stats == {}
-        assert p.degradations == []
 
     def test_summary_renders_fixture_numbers(self):
         text = _fixture_profiler().report().summary()
@@ -203,25 +201,10 @@ class TestProfilerThreadSafety:
         assert profiler.total_events == 2
         assert profiler.stats[0].events == 2  # pre-lock: clobbered to 1
 
-    def test_concurrent_degradations_all_arrive(self):
-        profiler = DecisionProfiler()
-        sentinel = [object() for _ in range(4)]
-
-        def push(obj):
-            for _ in range(500):
-                profiler.record_degradation(obj)
-
-        workers = [threading.Thread(target=push, args=(s,)) for s in sentinel]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
-        assert len(profiler.degradations) == 2000
-
 
 class TestDecisionProfilerMergeEdgeCases:
     """Degenerate merge shapes for the profiler fold: empty profilers on
-    either side, one-sided decisions, degradation append, self-merge."""
+    either side, one-sided decisions, self-merge."""
 
     def test_empty_into_empty(self):
         a, b = DecisionProfiler(), DecisionProfiler()
@@ -254,16 +237,6 @@ class TestDecisionProfilerMergeEdgeCases:
         a.merge(b)
         assert sorted(a.stats) == [0, 7]
         assert a.stats[7].events == 1 and a.total_events == 2
-
-    def test_degradations_append(self):
-        from repro.runtime.profiler import DegradationEvent
-
-        a, b = DecisionProfiler(), DecisionProfiler()
-        a.record_degradation(DegradationEvent(1, "s", "corrupt dfa"))
-        b.record_degradation(DegradationEvent(2, "t", "missing table"))
-        a.merge(b)
-        assert [e.decision for e in a.degradations] == [1, 2]
-        assert len(b.degradations) == 1
 
     def test_merge_into_itself_raises(self):
         import pytest

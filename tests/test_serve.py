@@ -457,6 +457,28 @@ class TestServiceRoutes:
 
         asyncio.run(scenario())
 
+    def test_unknown_routes_share_one_metrics_series(self):
+        """A scanner's distinct paths must not each add a
+        ``llstar_serve_requests_total`` series: every unknown route
+        counts under one label, and the 404 body still names it."""
+        async def scenario():
+            svc = service_for()
+            for i in range(1000):
+                r = await svc.handle("GET", "/scan/%d" % i)
+                assert r.status == 404
+            r = await svc.handle("BREW", "/healthz")
+            assert r.status == 404
+            assert "BREW /healthz" in r.body["error"]
+            samples = svc.metrics.to_json()[
+                "llstar_serve_requests_total"]["samples"]
+            not_found = [s for s in samples if s["labels"]["status"] == "404"]
+            assert not_found == [{"labels": {"route": "unmatched",
+                                             "status": "404"},
+                                  "value": 1001}]
+            svc.close()
+
+        asyncio.run(scenario())
+
     def test_oversized_body_413(self):
         async def scenario():
             svc = service_for(max_body_bytes=64)

@@ -292,20 +292,19 @@ class TestConcurrentSessions:
 
     @staticmethod
     def run_session(host, text, reps):
-        """One session: its own telemetry + profiler, fresh streams."""
-        from repro.runtime.profiler import DecisionProfiler
+        """One session: its own telemetry (and its per-decision store),
+        fresh streams."""
         from repro.runtime.telemetry import ParseTelemetry
 
         telemetry = ParseTelemetry(capture_events=False)
-        profiler = DecisionProfiler()
         for _ in range(reps):
             stream = StreamingTokenStream(token_source(host, text),
                                           telemetry=telemetry)
             parser = LLStarParser(host.analysis, stream, ParserOptions(
-                telemetry=telemetry, profiler=profiler, build_tree=False))
+                telemetry=telemetry, build_tree=False))
             parser.parse()
             assert not parser.errors
-        return telemetry, profiler
+        return telemetry, telemetry.profiler
 
     def test_interleaved_sessions_do_not_share_state(self):
         from concurrent.futures import ThreadPoolExecutor

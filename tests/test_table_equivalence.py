@@ -14,7 +14,7 @@ the flat-table refactor rests on:
 3. **Prediction parity** — the table-walking parser and
    :class:`GraphWalkingParser`, a reference oracle that walks the
    object-graph DFA directly, choose identical alternatives, shown by
-   identical parse trees and profiler event counts on the bundled
+   identical parse trees and decision event counts on the bundled
    sample and a generated workload.
 """
 
@@ -24,7 +24,7 @@ from repro.analysis.decisions import DecisionRecord
 from repro.exceptions import NoViableAltError
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import LLStarParser, ParserOptions
-from repro.runtime.profiler import DecisionProfiler
+from repro.runtime.telemetry import ParseTelemetry
 
 
 class GraphWalkingParser(LLStarParser):
@@ -44,7 +44,7 @@ class GraphWalkingParser(LLStarParser):
             dfa = self._materialize_dfa(decision, record)
         state = dfa.start
         offset = 0
-        backtracked = False
+        gated = backtracked = False
         backtrack_depth = 0
 
         def eval_leaf(predicate):
@@ -63,6 +63,7 @@ class GraphWalkingParser(LLStarParser):
                     offset += 1
                     state = nxt
                     continue
+                gated = bool(state.predicate_edges)
                 for context, alt, _target in state.predicate_edges:
                     if context is None or context.evaluate(eval_leaf):
                         return alt
@@ -71,10 +72,11 @@ class GraphWalkingParser(LLStarParser):
                                        rule_name=record.rule_name)
             return state.predicted_alt
         finally:
-            profiler = self.options.profiler
-            if profiler is not None and not self.speculating:
-                profiler.record(decision, max(offset, 1), backtracked,
-                                backtrack_depth)
+            tel = self._telemetry
+            if tel is not None and not self.speculating:
+                tel.record_predict(decision, record.rule_name, max(offset, 1),
+                                   not gated, backtracked, backtrack_depth,
+                                   self.stream.index)
 
 
 @pytest.fixture(scope="module", params=PAPER_ORDER)
@@ -117,11 +119,11 @@ class TestPredictionEquivalence:
     def _parse_both(self, host, text):
         trees, events = [], []
         for parser_class in (LLStarParser, GraphWalkingParser):
-            profiler = DecisionProfiler()
-            opts = ParserOptions(profiler=profiler)
+            telemetry = ParseTelemetry(capture_events=False)
+            opts = ParserOptions(telemetry=telemetry)
             parser = parser_class(host.analysis, host.tokenize(text), opts)
             trees.append(parser.parse())
-            events.append(profiler.total_events)
+            events.append(telemetry.profiler.total_events)
         assert trees[0].to_sexpr() == trees[1].to_sexpr()
         assert events[0] == events[1]
 
@@ -171,14 +173,13 @@ class TestMmapEquivalence:
             assert not warm.degraded
 
     def test_sample_parses_identically(self, mmap_host, host, bench):
-        from repro.runtime.profiler import DecisionProfiler
-
-        pc, pw = DecisionProfiler(), DecisionProfiler()
-        tc = host.parse(bench.sample, options=ParserOptions(profiler=pc))
-        tw = mmap_host.parse(bench.sample, options=ParserOptions(profiler=pw))
+        pc = ParseTelemetry(capture_events=False)
+        pw = ParseTelemetry(capture_events=False)
+        tc = host.parse(bench.sample, options=ParserOptions(telemetry=pc))
+        tw = mmap_host.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
-        assert {d: s.events for d, s in pc.stats.items()} \
-            == {d: s.events for d, s in pw.stats.items()}
+        assert {d: s.events for d, s in pc.profiler.stats.items()} \
+            == {d: s.events for d, s in pw.profiler.stats.items()}
 
     def test_generated_workload_parses_identically(self, mmap_host, host, bench):
         text = bench.generate_program(6, seed=7)

@@ -21,6 +21,7 @@ from repro.runtime.telemetry import (
     MetricsRegistry,
     ParseTelemetry,
     PredictEvent,
+    TraceTelemetry,
 )
 
 SIMPLE = r"""
@@ -197,6 +198,46 @@ class TestParseTelemetry:
             t.join()
         assert tel.metrics.value("llstar_predictions_total") == n * per
 
+    def test_span_depth_is_per_thread(self):
+        """Regression: span nesting depth lived on the shared telemetry,
+        so threads parsing concurrently pushed each other's spans deeper
+        and a span opened afterwards no longer started at depth 0."""
+        import sys
+
+        from repro.grammars import load
+
+        bench = load("rats_c")
+        host = bench.compile()
+        text = bench.generate_program(10, seed=3)
+
+        def span_depths(tel):
+            return [s.depth for s in tel.events_by_kind("span")]
+
+        alone = ParseTelemetry(max_events=200_000)
+        host.parse(text, options=ParserOptions(build_tree=False,
+                                               telemetry=alone))
+        deepest = max(span_depths(alone))
+
+        shared = ParseTelemetry(max_events=200_000)
+        threads = [threading.Thread(target=host.parse, args=(text,), kwargs={
+            "options": ParserOptions(build_tree=False, telemetry=shared)})
+            for _ in range(4)]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert shared.metrics.value("llstar_synpred_invocations_total") == \
+            4 * alone.metrics.value("llstar_synpred_invocations_total")
+        assert max(span_depths(shared)) <= deepest
+        with shared.span("compile:after") as handle:
+            assert handle.depth == 0
+
 
 # -- runtime wiring -------------------------------------------------------------------
 
@@ -204,13 +245,12 @@ class TestParseTelemetry:
 class TestParserWiring:
     def test_predict_events_and_realized_k(self, simple):
         tel = ParseTelemetry()
-        profiler = repro.runtime.DecisionProfiler()
-        simple.parse("x = 42 ;",
-                     options=ParserOptions(telemetry=tel, profiler=profiler))
+        simple.parse("x = 42 ;", options=ParserOptions(telemetry=tel))
+        profiler = tel.profiler
         events = tel.events_by_kind("predict")
         assert events and all(isinstance(e, PredictEvent) for e in events)
         hist = tel.metrics.get("llstar_realized_k")
-        # Telemetry and profiler observe the same prediction stream.
+        # The registry and the per-decision store see the same predictions.
         assert hist.count == profiler.total_events
         assert hist.sum == sum(s.sum_depth for s in profiler.stats.values())
         assert tel.dfa_hit_rate == 1.0
@@ -237,6 +277,53 @@ class TestParserWiring:
         simple.parse("x = 1 ;", options=ParserOptions(telemetry=traced))
         assert any(s.name == "rule:s" for s in traced.events_by_kind("span"))
         assert traced.metrics.value("llstar_rule_invocations_total") == 1
+
+    def test_trace_transcript_is_a_view_of_the_hooks(self, syn):
+        """``TraceTelemetry`` renders rule spans, committed predictions
+        and speculation spans; a speculation shows as its synpred span
+        (matched, then FAILED), never as speculative rule entries."""
+        trace = TraceTelemetry()
+        syn.parse("- - x ; - - 5 ;", options=ParserOptions(telemetry=trace))
+        assert trace.transcript() == "\n".join([
+            "enter s @0",
+            "  enter t @0",
+            "    speculate synpred1 @0",
+            "    end synpred1 @3",
+            "    predict d1 k=2 (backtracked)",
+            "    predict d2 k=1",
+            "    predict d2 k=1",
+            "    predict d2 k=1",
+            "  exit t @3",
+            "  predict d0 k=1",
+            "  enter t @4",
+            "    speculate synpred1 @4",
+            "    end synpred1 @6 FAILED",
+            "    predict d1 k=2 (backtracked)",
+            "    enter expr @4",
+            "      predict d3 k=1",
+            "      enter expr @5",
+            "        predict d3 k=1",
+            "        enter expr @6",
+            "          predict d3 k=1",
+            "        exit expr @7",
+            "      exit expr @7",
+            "    exit expr @7",
+            "  exit t @7",
+            "  predict d0 k=1",
+            "exit s @8",
+        ])
+        # The same telemetry kept the counters and per-decision store.
+        assert trace.metrics.value("llstar_predictions_total") == 10
+        assert trace.profiler.total_events == 10
+
+    def test_trace_marks_a_recovered_rule_failed(self, syn):
+        trace = TraceTelemetry()
+        parser = syn.parser(syn.tokenize("- - ; x ;"), options=ParserOptions(
+            recover=True, telemetry=trace))
+        parser.parse()
+        assert parser.errors
+        assert "        exit expr @2 FAILED" in trace.lines
+        assert "  exit t @2" in trace.lines
 
     def test_recovery_events(self, simple):
         tel = ParseTelemetry()
