@@ -21,9 +21,8 @@ import time
 import pytest
 
 from repro.api import compile_grammar
-from repro.batch.worker import WorkerConfig, WorkerContext
-from repro.cache import artifact_key
 from repro.grammars import PAPER_ORDER, load
+from repro.pool import PoolGrammar, worker_host
 
 from conftest import emit_table
 
@@ -49,16 +48,16 @@ def _self_pss_kb():
     raise RuntimeError("no Pss in smaps_rollup")
 
 
-def _measure_pool_pss_kb(config, sample):
-    """Boot WORKERS real processes from ``config``, parse the sample in
-    each (faulting every hot table page in), and return their PSS
-    readings."""
+def _measure_pool_pss_kb(cache_dir, grammar, sample):
+    """Boot WORKERS real processes the way a pool worker boots (from the
+    image in ``cache_dir`` and ``grammar``'s artifact key), parse the
+    sample in each (faulting every hot table page in), and return their
+    PSS readings."""
     ctx = multiprocessing.get_context("fork")
     queue = ctx.Queue()
 
     def boot(q):
-        wc = WorkerContext(config)
-        wc.host.parse(sample)
+        worker_host(cache_dir, grammar.boot).parse(sample)
         q.put(_self_pss_kb())
 
     procs = [ctx.Process(target=boot, args=(queue,)) for _ in range(WORKERS)]
@@ -121,10 +120,8 @@ def test_mmap_start(tmp_path_factory, paper_names):
 
     # --- 4-worker pool footprint on the largest grammar ---------------
     bench = load(PSS_GRAMMAR)
-    key = artifact_key(bench.grammar_text, None, None)
-    config = WorkerConfig(None, None, True, True, cache_dir, key,
-                          None, None, False)
-    pss = _measure_pool_pss_kb(config, bench.sample)
+    pss = _measure_pool_pss_kb(cache_dir, PoolGrammar(bench.grammar_text),
+                               bench.sample)
     _append(["", "%d-worker pool footprint (%s grammar, forked workers)"
              % (WORKERS, paper_names[PSS_GRAMMAR]), ""] + _aligned(
         ("Worker boot", "workers", "aggregate PSS", "per worker"),

@@ -204,8 +204,9 @@ def host_from_cache_key(cache_dir: str, key: str,
     """Warm-start a :class:`ParserHost` from a cache key alone.
 
     The image for ``key`` carries the grammar text, so a process that
-    knows only ``(cache_dir, key)`` — a batch pool worker — boots
-    without being shipped the source: it maps the file (sharing one
+    knows only ``(cache_dir, key)`` — a pool worker
+    (:func:`repro.pool.worker_host`) — boots without being shipped the
+    source: it maps the file (sharing one
     page-cache copy with every sibling) and rebuilds its tables
     zero-copy through :func:`host_from_image`.
 

@@ -9,11 +9,11 @@ spread the per-input parsing across worker processes that never re-run
 
 * :class:`~repro.batch.engine.BatchEngine` — compiles (or cache-loads)
   the grammar in the parent, then dispatches chunks of inputs to a
-  ``ProcessPoolExecutor`` whose initializer warm-starts each worker from
-  the PR-1 artifact cache (``cache_dir=...``) or from the serialized
-  artifact payload shipped in the initializer arguments.  Dispatch is
-  chunked with a bounded in-flight window, so a million-file corpus
-  never materializes a million futures.
+  :class:`~repro.pool.WorkerPool` whose workers boot from the artifact
+  image and its key alone: the image in ``cache_dir``, or one the pool
+  publishes into a private temporary directory.  Dispatch is chunked
+  with a bounded in-flight window, so a million-file corpus never
+  materializes a million futures.
 * Per-input isolation — every input parses under its own
   :class:`~repro.runtime.budget.ParserBudget` accounting; a
   pathological or malformed input fails its own

@@ -5,22 +5,21 @@ Lifecycle of one :meth:`BatchEngine.run`:
 1. The parent compiles the grammar once (through the artifact cache when
    ``cache_dir`` is set, so the analysis is also persisted for the next
    run).
-2. A ``ProcessPoolExecutor`` starts ``jobs`` workers, each warm-started
-   by :func:`repro.batch.worker.initialize_worker` from the artifact
-   image and its key alone — no worker ever runs static analysis.  The
-   image is the one in ``cache_dir``; without one there, the run
-   publishes it into a private temporary directory that lives as long
-   as the pool.
-3. Inputs are dispatched in chunks, with at most
-   ``inflight_per_worker x jobs`` chunks submitted at a time
-   (backpressure: a huge corpus streams through bounded memory instead
-   of materializing every future up front).
+2. A :class:`~repro.pool.WorkerPool` starts ``jobs`` workers, each of
+   which boots its host from the artifact image and its key alone — no
+   worker ever runs static analysis.  The image is the one in
+   ``cache_dir`` (republished from the parent's host when it is gone);
+   without one there, the pool publishes it into a private temporary
+   directory that lives as long as the run.
+3. Inputs are dispatched in chunks, with a bounded number of chunks in
+   flight per worker (backpressure: a huge corpus streams through
+   bounded memory instead of materializing every future up front).
 4. Workers parse without building trees: a :class:`BatchResult` holds
    the outcome, error, and token count of an input, not its tree.
 5. Each chunk returns its :class:`BatchResult` rows plus its telemetry's
    metrics registry and per-decision store; the parent folds them into the
-   corpus-level :class:`BatchReport` as chunks complete, preserving
-   input order in the final result list.
+   corpus-level :class:`BatchReport`, preserving input order in the final
+   result list.
 
 ``jobs=0`` runs the same chunk code inline in the parent process —
 deterministic, pool-free execution for debugging and tests; it publishes
@@ -30,24 +29,11 @@ nothing.
 from __future__ import annotations
 
 import os
-import tempfile
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
-from repro.batch.worker import (
-    WorkerConfig,
-    WorkerContext,
-    initialize_worker,
-    run_chunk,
-)
-from repro.cache import (
-    ArtifactStore,
-    artifact_key,
-    artifact_to_dict,
-    grammar_fingerprint,
-)
+from repro.batch.worker import ChunkTask
+from repro.pool import PoolGrammar, WorkerPool
 from repro.runtime.budget import ParserBudget
 from repro.runtime.profiler import DecisionProfiler, ProfileReport
 from repro.runtime.telemetry import MetricsRegistry
@@ -183,67 +169,50 @@ class BatchEngine:
     ``chunk_size``
         Inputs per dispatched chunk (default: corpus size balanced over
         ``4 x jobs`` chunks, clamped to [1, 32]).
-    ``inflight_per_worker``
-        Backpressure window: at most ``jobs x inflight_per_worker``
-        chunks are in flight at once.
     ``budget`` / ``recover`` / ``rule_name``
         Applied per input inside the workers; a
         :class:`~repro.exceptions.BudgetExceededError` or
         :class:`~repro.exceptions.RecognitionError` on one input fails
         only that input's :class:`BatchResult`.
     ``cache_dir``
-        Compile through the artifact cache; pool workers then map the
-        image published there instead of a private copy.
-    ``max_pool_rebuilds``
-        How many times a broken pool (a worker killed mid-corpus) is
-        rebuilt and the lost chunks retried before the engine degrades
-        to inline execution for the remainder (default 1).
+        Compile through the artifact cache; pool workers then boot from
+        the image published there instead of a private copy.
     ``chaos``
         Optional :class:`~repro.runtime.chaos.ServiceChaos` fault policy
         applied per input in the workers (robustness testing).
+
+    A worker killed mid-corpus breaks the pool: the lost chunks are
+    retried on a rebuilt pool once, and after a second death the rest of
+    the corpus runs inline (:class:`~repro.pool.WorkerPool`).
     """
 
     def __init__(self, grammar_text: str, name: Optional[str] = None,
                  options=None, jobs: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 inflight_per_worker: int = 2,
                  rule_name: Optional[str] = None,
                  budget: Optional[ParserBudget] = None,
                  recover: bool = False, cache_dir: Optional[str] = None,
                  rewrite_left_recursion: bool = True, strict: bool = True,
-                 parallel: Optional[int] = None,
-                 max_pool_rebuilds: int = 1, chaos=None):
+                 parallel: Optional[int] = None, chaos=None):
         from repro.api import compile_grammar
 
         if jobs is not None and jobs < 0:
             raise ValueError("jobs must be >= 0 (0 = inline)")
-        if inflight_per_worker < 1:
-            raise ValueError("inflight_per_worker must be >= 1")
         if chunk_size is not None and chunk_size < 1:
             raise ValueError("chunk_size must be >= 1 or None")
-        if max_pool_rebuilds < 0:
-            raise ValueError("max_pool_rebuilds must be >= 0")
         self.jobs = (os.cpu_count() or 1) if jobs is None else jobs
         self.chunk_size = chunk_size
-        self.inflight_per_worker = inflight_per_worker
-        self.max_pool_rebuilds = max_pool_rebuilds
         # Compile once in the parent; with a cache_dir this also publishes
-        # the artifact image the workers warm-start from.
+        # the artifact image the workers boot from.
         self.host = compile_grammar(
             grammar_text, name=name, options=options,
             rewrite_left_recursion=rewrite_left_recursion, strict=strict,
             cache_dir=cache_dir, parallel=parallel)
-        self._grammar_text = grammar_text
-        self._key = artifact_key(grammar_text, name, options,
-                                 rewrite_left_recursion)
-        on_disk = cache_dir is not None and os.path.exists(
-            ArtifactStore(cache_dir, sweep_orphans=False).path_for(self._key))
-        # Slim initargs: the image carries the grammar text, so the
-        # pickled config ships neither source nor tables.
-        self._config = WorkerConfig(
-            name, options, rewrite_left_recursion, strict,
-            cache_dir if on_disk else None, self._key if on_disk else None,
-            rule_name, budget, recover, chaos=chaos)
+        self._grammar = PoolGrammar(grammar_text, name, options,
+                                    rewrite_left_recursion, strict)
+        self._cache_dir = cache_dir
+        self._settings = dict(rule_name=rule_name, budget=budget,
+                              recover=recover, chaos=chaos)
 
     # -- corpus preparation ----------------------------------------------------
 
@@ -259,15 +228,17 @@ class BatchEngine:
     def run(self, inputs: Iterable[Tuple[str, str]]) -> BatchReport:
         """Parse every ``(input_id, text)`` pair; returns the corpus report."""
         items = [(str(input_id), text) for input_id, text in inputs]
-        chunks = self._chunks(items)
+        tasks = [ChunkTask(chunk, **self._settings)
+                 for chunk in self._chunks(items)]
         started = time.perf_counter()
-        rebuilds, degraded = 0, False
-        if self.jobs == 0:
-            outcomes = self._run_inline(chunks)
-        else:
-            outcomes, rebuilds, degraded = self._run_pool(chunks)
+        pool = WorkerPool(self.jobs, self._cache_dir)
+        try:
+            outcomes = pool.map(self._grammar, self.host, tasks)
+        finally:
+            pool.close(wait=True)
         wall = time.perf_counter() - started
-        return self._aggregate(outcomes, chunks, wall, rebuilds, degraded)
+        return self._aggregate(outcomes, wall, pool.rebuilds,
+                               pool.degradations > 0)
 
     def run_paths(self, paths: Iterable[str]) -> BatchReport:
         """Parse files by path (the path is the input id)."""
@@ -277,126 +248,18 @@ class BatchEngine:
                 corpus.append((path, f.read()))
         return self.run(corpus)
 
-    def _run_inline(self, chunks):
-        context = WorkerContext(self._config, host=self.host)
-        return {i: context.run_chunk(chunk) for i, chunk in enumerate(chunks)}
-
-    def _run_pool(self, chunks):
-        """Pooled execution, every worker booted from the artifact image.
-
-        Without an image in ``cache_dir`` (none given, or unwritable),
-        the image is published into a private temporary directory for
-        the length of this call.
-        """
-        if self._config.artifact_key is not None:
-            return self._supervise(chunks, self._config)
-        with tempfile.TemporaryDirectory(prefix="llstar-batch-") as private:
-            ArtifactStore(private, sweep_orphans=False).save(
-                self._key, artifact_to_dict(
-                    self.host.grammar, self.host.analysis,
-                    self.host.lexer_spec,
-                    grammar_fingerprint(self._grammar_text,
-                                        self._config.name)),
-                self._grammar_text)
-            return self._supervise(
-                chunks, self._config.booting_from(private, self._key))
-
-    def _supervise(self, chunks, config):
-        """Run ``chunks`` on pools booted from ``config``, with crash
-        tolerance.
-
-        A worker death breaks the whole ``ProcessPoolExecutor`` —
-        *every* in-flight future raises :class:`BrokenProcessPool`, not
-        just the chunk that was on the dead worker.  Rather than fail
-        those chunks (the pre-fix behaviour aborted the corpus), the
-        lost chunk indexes are collected and retried on a freshly built
-        pool, up to ``max_pool_rebuilds`` times; after that the engine
-        degrades to inline execution in the parent, where each input
-        still succeeds or fails individually with a typed error.
-        """
-        outcomes: Dict[int, tuple] = {}
-        remaining = list(range(len(chunks)))
-        rebuilds, degraded = 0, False
-        while remaining:
-            remaining = self._pool_pass(chunks, remaining, outcomes, config)
-            if not remaining:
-                break
-            if rebuilds >= self.max_pool_rebuilds:
-                # The rebuilt pool died too: stop burning processes and
-                # finish the stragglers inline (reduced concurrency, but
-                # per-input isolation semantics are unchanged).
-                degraded = True
-                context = WorkerContext(config, host=self.host)
-                for index in remaining:
-                    outcomes[index] = context.run_chunk(chunks[index])
-                break
-            rebuilds += 1
-        return outcomes, rebuilds, degraded
-
-    def _pool_pass(self, chunks, indexes, outcomes, config):
-        """One pool lifetime: run ``indexes`` until done or the pool
-        breaks.  Returns the (ordered) chunk indexes lost to breakage."""
-        window = self.jobs * self.inflight_per_worker
-        broken: List[int] = []
-        pool_dead = False
-        with ProcessPoolExecutor(max_workers=self.jobs,
-                                 initializer=initialize_worker,
-                                 initargs=(config,)) as pool:
-            pending: Dict[object, int] = {}
-
-            def drain(done_set):
-                nonlocal pool_dead
-                for future in done_set:
-                    index = pending.pop(future)
-                    try:
-                        outcomes[index] = future.result()
-                    except BrokenProcessPool:
-                        broken.append(index)
-                        pool_dead = True
-                    except Exception as e:  # chunk-level loss
-                        outcomes[index] = self._failed_chunk(chunks[index], e)
-
-            for index in indexes:
-                if not pool_dead and len(pending) >= window:
-                    done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                    drain(done)
-                if pool_dead:
-                    broken.append(index)  # never submit to a dead pool
-                    continue
-                try:
-                    pending[pool.submit(run_chunk, chunks[index])] = index
-                except RuntimeError:  # pool broke between drain and submit
-                    broken.append(index)
-                    pool_dead = True
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                drain(done)
-        return sorted(broken)
-
-    @staticmethod
-    def _failed_chunk(chunk, error):
-        """Chunk-level loss (worker crash, broken pool): fail each input
-        of the chunk individually so the corpus accounting stays exact."""
-        results = [BatchResult(input_id, ok=False,
-                               error_type=type(error).__name__,
-                               error=str(error) or type(error).__name__,
-                               tokens=0, elapsed=0.0, worker_pid=-1)
-                   for input_id, _ in chunk]
-        return results, MetricsRegistry(), DecisionProfiler()
-
-    def _aggregate(self, outcomes, chunks, wall: float, rebuilds: int = 0,
-                   degraded: bool = False) -> BatchReport:
+    def _aggregate(self, outcomes, wall: float, rebuilds: int,
+                   degraded: bool) -> BatchReport:
         results: List[BatchResult] = []
         metrics = MetricsRegistry()
         profiler = DecisionProfiler()
-        for index in range(len(chunks)):
-            chunk_results, chunk_metrics, chunk_profiler = outcomes[index]
+        for chunk_results, chunk_metrics, chunk_profiler in outcomes:
             results.extend(chunk_results)
             metrics.merge(chunk_metrics)
             profiler.merge(chunk_profiler)
         metrics.gauge("llstar_batch_workers", "worker processes").set(self.jobs)
         metrics.counter("llstar_batch_chunks_total",
-                        "chunks dispatched").inc(len(chunks))
+                        "chunks dispatched").inc(len(outcomes))
         if rebuilds:
             metrics.counter("llstar_batch_pool_rebuilds_total",
                             "worker pools rebuilt after a crash").inc(rebuilds)
@@ -404,7 +267,7 @@ class BatchEngine:
                       "1 when the corpus finished inline after repeated "
                       "pool deaths").set(1 if degraded else 0)
         return BatchReport(results, metrics, profiler, wall, self.jobs,
-                           len(chunks), pool_rebuilds=rebuilds,
+                           len(outcomes), pool_rebuilds=rebuilds,
                            degraded_to_inline=degraded)
 
 

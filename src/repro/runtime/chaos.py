@@ -216,8 +216,9 @@ class ServiceChaos:
         off to model "faults clear" and assert recovery.
 
     The object is picklable (plain attributes only) so it can ride into
-    pool workers inside a :class:`~repro.batch.worker.WorkerConfig` or a
-    serve :class:`~repro.serve.worker.ParseTask`.
+    pool workers with each unit of work: a batch
+    :class:`~repro.batch.worker.ChunkTask` or a serve
+    :class:`~repro.serve.worker.ParseTask`.
     """
 
     __slots__ = ("seed", "kill_rate", "slow_rate", "malform_rate",

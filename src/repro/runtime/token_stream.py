@@ -142,52 +142,3 @@ class ListTokenStream(TokenStream):
 
     def __repr__(self):
         return "ListTokenStream(%d tokens, at %d)" % (len(self._tokens), self._index)
-
-
-class LookaheadWatcher(TokenStream):
-    """Decorator stream that records the deepest lookahead offset touched.
-
-    The profiler wraps the real stream with one of these around each
-    prediction so it can report per-decision-event lookahead depth
-    (Table 3's ``avg k`` / ``max k`` columns) without instrumenting the
-    DFA simulator itself.
-    """
-
-    def __init__(self, inner: TokenStream):
-        self.inner = inner
-        self.source = inner.source
-        self.origin = inner.index
-        self.max_offset = 0
-
-    def _note(self, offset: int) -> None:
-        # Depth is measured from the decision origin, in tokens.
-        depth = self.inner.index - self.origin + offset
-        if depth > self.max_offset:
-            self.max_offset = depth
-
-    def la(self, offset: int = 1) -> int:
-        self._note(offset)
-        return self.inner.la(offset)
-
-    def lt(self, offset: int = 1) -> Token:
-        if offset > 0:
-            self._note(offset)
-        return self.inner.lt(offset)
-
-    def consume(self) -> Token:
-        self._note(1)
-        return self.inner.consume()
-
-    def mark(self) -> int:
-        return self.inner.mark()
-
-    def seek(self, index: int) -> None:
-        self.inner.seek(index)
-
-    @property
-    def index(self) -> int:
-        return self.inner.index
-
-    @property
-    def size(self) -> int:
-        return self.inner.size

@@ -36,7 +36,7 @@ from repro.serve.service import (
     ServiceConfig,
 )
 from repro.serve.stdio import handle_line, serve_stdio
-from repro.serve.worker import ParseTask, execute_parse, serve_parse
+from repro.serve.worker import ParseTask
 
 __all__ = [
     "AdmissionController",
@@ -61,9 +61,7 @@ __all__ = [
     "ServiceUnavailableError",
     "SheddingError",
     "UnknownGrammarError",
-    "execute_parse",
     "handle_line",
     "serve_http",
-    "serve_parse",
     "serve_stdio",
 ]

@@ -1,6 +1,7 @@
 """Multi-grammar registry: lazy, single-flight, capacity-bounded.
 
-Grammar *sources* are registered cheaply (name -> text).  Compiled
+Grammar *sources* are registered cheaply (name -> text, plus the
+artifact key pool workers boot from, computed once here).  Compiled
 :class:`~repro.api.ParserHost` artifacts are built lazily on the first
 request that names the grammar, through the PR-1 artifact cache when the
 service has a ``cache_dir`` — so the first compile also warms the disk
@@ -29,6 +30,7 @@ from typing import Dict, List, Optional
 
 from repro.cache import CacheDiagnostic
 from repro.exceptions import ArtifactFormatError
+from repro.pool import PoolGrammar
 from repro.serve.errors import GrammarLoadError, UnknownGrammarError
 
 
@@ -44,7 +46,7 @@ class GrammarRegistry:
         self.max_hosts = max_hosts
         self.options = options
         self.telemetry = telemetry
-        self._sources: Dict[str, str] = {}
+        self._grammars: Dict[str, PoolGrammar] = {}
         self._hosts: "OrderedDict[str, object]" = OrderedDict()  # LRU
         self._failed: Dict[str, GrammarLoadError] = {}
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -60,20 +62,24 @@ class GrammarRegistry:
         any compiled host and cached failure for the name."""
         if not name:
             raise ValueError("grammar name must be non-empty")
-        self._sources[name] = grammar_text
+        self._grammars[name] = PoolGrammar(grammar_text, name, self.options)
         self._hosts.pop(name, None)
         self._failed.pop(name, None)
 
     def names(self) -> List[str]:
-        return sorted(self._sources)
+        return sorted(self._grammars)
 
-    def source(self, name: str) -> str:
+    def grammar(self, name: str) -> PoolGrammar:
+        """The registered grammar as the worker pool runs it."""
         try:
-            return self._sources[name]
+            return self._grammars[name]
         except KeyError:
             raise UnknownGrammarError(
                 "unknown grammar %r (registered: %s)"
                 % (name, ", ".join(self.names()) or "none")) from None
+
+    def source(self, name: str) -> str:
+        return self.grammar(name).text
 
     def status(self) -> dict:
         """JSON-safe registry view for the /grammars endpoint."""
@@ -185,4 +191,4 @@ class GrammarRegistry:
 
     def __repr__(self):
         return "GrammarRegistry(%d grammars, %d resident)" % (
-            len(self._sources), len(self._hosts))
+            len(self._grammars), len(self._hosts))

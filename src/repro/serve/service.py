@@ -16,8 +16,9 @@ has grown:
 * a per-grammar :class:`~repro.serve.breaker.CircuitBreaker` that opens
   after consecutive worker crashes / budget blowouts and recovers
   through half-open probes;
-* graceful degradation: when the worker pool keeps dying, the service
-  falls back to inline parsing at reduced concurrency, emits a
+* graceful degradation: when the worker pool
+  (:class:`~repro.pool.WorkerPool`) keeps dying, the service falls back
+  to inline parsing at reduced concurrency, emits a
   :class:`~repro.runtime.telemetry.DegradationEvent`, and periodically
   probes whether a fresh pool survives;
 * live Prometheus ``/metrics``, ``/healthz`` + ``/readyz``, and a
@@ -27,15 +28,13 @@ has grown:
 from __future__ import annotations
 
 import asyncio
-import functools
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from typing import Dict, List, Optional
 
 from repro.exceptions import BudgetExceededError
+from repro.pool import DEATH, DEGRADED, WorkerPool
 from repro.runtime.budget import ParserBudget
 from repro.runtime.telemetry import LATENCY_BUCKETS, DegradationEvent, ParseTelemetry
 from repro.serve.admission import AdmissionController
@@ -47,7 +46,7 @@ from repro.serve.errors import (
     ServeError,
 )
 from repro.serve.registry import GrammarRegistry
-from repro.serve.worker import ParseTask, execute_parse, serve_parse
+from repro.serve.worker import ParseTask
 
 #: error_type values that charge the circuit breaker (resource events);
 #: recognition errors are properties of the *input* and never count.
@@ -67,9 +66,6 @@ class ServiceConfig:
                  breaker_threshold: int = 5,
                  breaker_cooldown: float = 5.0,
                  half_open_probes: int = 1,
-                 degrade_concurrency: int = 2,
-                 pool_rebuild_limit: int = 1,
-                 pool_retry_cooldown: float = 30.0,
                  max_body_bytes: int = 1 << 20,
                  drain_deadline: float = 10.0,
                  retry_after: float = 1.0,
@@ -81,8 +77,6 @@ class ServiceConfig:
             raise ValueError("jobs must be >= 0 (0 = inline execution)")
         if deadline_ceiling <= 0 or default_deadline <= 0:
             raise ValueError("deadlines must be > 0")
-        if degrade_concurrency < 1:
-            raise ValueError("degrade_concurrency must be >= 1")
         self.jobs = jobs
         self.max_concurrency = max_concurrency
         self.queue_limit = queue_limit
@@ -91,9 +85,6 @@ class ServiceConfig:
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
         self.half_open_probes = half_open_probes
-        self.degrade_concurrency = degrade_concurrency
-        self.pool_rebuild_limit = pool_rebuild_limit
-        self.pool_retry_cooldown = pool_retry_cooldown
         self.max_body_bytes = max_body_bytes
         self.drain_deadline = drain_deadline
         self.retry_after = retry_after
@@ -203,12 +194,7 @@ class ParseService:
             retry_after=self.config.retry_after, clock=clock)
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.draining = False
-        self.degraded = False
         self.started_at = time.monotonic()
-        self.pool_rebuilds = 0
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_down_at: Optional[float] = None
-        self._inline: Optional[ThreadPoolExecutor] = None
         self._request_ids = itertools.count(1)
         #: DegradationEvents emitted by the service layer, newest last.
         self.events: List[DegradationEvent] = []
@@ -223,28 +209,37 @@ class ParseService:
             "1 while pool execution is degraded to inline")
         self._queue_peak = m.gauge(
             "llstar_serve_queue_peak", "high-water mark of the request queue")
+        # One pool for the life of the service.  Inline parses (jobs=0,
+        # or while degraded) feed the shared, thread-safe telemetry
+        # directly; pooled parses report through their outcome dicts.
+        self._pool = WorkerPool(
+            self.config.jobs, self.registry.cache_dir,
+            threads=self.config.max_concurrency, telemetry=self.telemetry,
+            listener=self._on_pool_event, clock=clock)
 
-    # -- executors --------------------------------------------------------------
+    @property
+    def degraded(self) -> bool:
+        """True while pool execution is degraded to inline parsing."""
+        return self._pool.degraded
 
-    def _ensure_executors(self) -> None:
-        if self._inline is None:
-            # Inline is the primary engine when jobs=0 and the reduced-
-            # concurrency fallback when the pool is degraded.
-            workers = (self.config.max_concurrency if self.config.jobs == 0
-                       else self.config.degrade_concurrency)
-            self._inline = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="llstar-serve-inline")
-        if self._pool is None and self.config.jobs > 0 and not self.degraded:
-            self._pool = ProcessPoolExecutor(max_workers=self.config.jobs)
+    @property
+    def pool_rebuilds(self) -> int:
+        """Worker-pool deaths since the pool last recovered."""
+        return self._pool.deaths
 
     def close(self) -> None:
-        """Synchronous teardown of executors (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        if self._inline is not None:
-            self._inline.shutdown(wait=False, cancel_futures=True)
-            self._inline = None
+        """Synchronous teardown of the worker pool (idempotent)."""
+        self._pool.close()
+
+    def _on_pool_event(self, kind: str, reason: str) -> None:
+        if kind == DEATH:
+            self.metrics.counter("llstar_serve_pool_rebuilds_total",
+                                 "worker pools torn down after death").inc()
+            return
+        # Degradation episodes go to the service's own events and gauge,
+        # not to llstar_degradations_total, which counts DFA rebuilds.
+        self._degraded_gauge.set(1 if kind == DEGRADED else 0)
+        self.events.append(DegradationEvent(-1, "<serve>", reason))
 
     # -- breaker plumbing -------------------------------------------------------
 
@@ -267,98 +262,7 @@ class ParseService:
             "0 closed / 1 open / 2 half-open", labels={"grammar": name}
         ).set(STATE_CODES[to])
 
-    # -- degradation ------------------------------------------------------------
-
-    def _note_pool_death(self, error: BaseException) -> None:
-        """A pooled parse lost its process pool: rebuild within the
-        allowance, otherwise degrade to inline execution."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-            self._pool = None
-        self.pool_rebuilds += 1
-        self.metrics.counter("llstar_serve_pool_rebuilds_total",
-                             "worker pools torn down after death").inc()
-        if self.pool_rebuilds > self.config.pool_rebuild_limit:
-            self._enter_degraded(
-                "worker pool died %d time(s) (last: %s); parsing inline at "
-                "concurrency %d" % (self.pool_rebuilds, error,
-                                    self.config.degrade_concurrency))
-        # else: _ensure_executors builds the replacement pool on demand.
-
-    def _enter_degraded(self, reason: str) -> None:
-        if self.degraded:
-            return
-        self.degraded = True
-        self._pool_down_at = self._clock()
-        self._degraded_gauge.set(1)
-        event = DegradationEvent(-1, "<serve>", reason)
-        self.events.append(event)
-        self.telemetry.record_degradation(event)
-
-    def _leave_degraded(self) -> None:
-        # During a recovery probe `degraded` is already cleared but
-        # `_pool_down_at` still marks the episode; either signals there
-        # is a degradation to leave.
-        if not self.degraded and self._pool_down_at is None:
-            return
-        self.degraded = False
-        self._pool_down_at = None
-        self.pool_rebuilds = 0
-        self._degraded_gauge.set(0)
-        event = DegradationEvent(-1, "<serve>", "worker pool recovered")
-        self.events.append(event)
-        self.telemetry.record_degradation(event)
-
-    def _should_probe_pool(self) -> bool:
-        return (self.degraded and self.config.jobs > 0
-                and self._pool_down_at is not None
-                and self._clock() - self._pool_down_at
-                >= self.config.pool_retry_cooldown)
-
     # -- request execution ------------------------------------------------------
-
-    async def _execute(self, task: ParseTask, host) -> dict:
-        """Run one task on the pool (with one crash retry) or inline."""
-        loop = asyncio.get_running_loop()
-        self._ensure_executors()
-        if self._should_probe_pool():
-            # Cooldown elapsed: optimistically rebuild the pool; the
-            # parse below is the recovery probe.
-            self.degraded = False
-            self._ensure_executors()
-        use_pool = self._pool is not None and not self.degraded
-        if use_pool:
-            was_probing = self._pool_down_at is not None
-            try:
-                outcome = await loop.run_in_executor(
-                    self._pool, serve_parse, task)
-            except (BrokenProcessPool, RuntimeError) as e:
-                if was_probing:
-                    # The probe pool died too: back to degraded, restart
-                    # the cooldown, serve this request inline.
-                    self._enter_degraded("pool recovery probe failed: %s" % e)
-                    self._pool_down_at = self._clock()
-                else:
-                    self._note_pool_death(e)
-                    self._ensure_executors()
-                    if self._pool is not None:
-                        # One retry on the rebuilt pool.
-                        try:
-                            return await loop.run_in_executor(
-                                self._pool, serve_parse, task)
-                        except (BrokenProcessPool, RuntimeError) as e2:
-                            self._note_pool_death(e2)
-            else:
-                if was_probing:
-                    self._leave_degraded()
-                return outcome
-        # Inline path: primary (jobs=0) or degraded fallback.  The shared
-        # telemetry object is thread-safe, so inline parses feed /metrics
-        # directly; pooled parses report via their outcome dicts instead.
-        self._ensure_executors()
-        run = functools.partial(execute_parse, task, host=host,
-                                telemetry=self.telemetry, in_worker=False)
-        return await loop.run_in_executor(self._inline, run)
 
     async def _handle_parse(self, body: bytes) -> Response:
         started = time.perf_counter()
@@ -376,7 +280,7 @@ class ParseService:
         timeout = min(request.timeout or self.config.default_deadline,
                       self.config.deadline_ceiling)
         deadline_at = self._clock() + timeout
-        grammar_text = self.registry.source(request.grammar)  # 404 early
+        grammar = self.registry.grammar(request.grammar)  # 404 early
         breaker = self.breaker(request.grammar)
         breaker.admit()  # CircuitOpenError -> 503 + Retry-After
         settled = False
@@ -388,27 +292,20 @@ class ParseService:
                 settled = True
                 raise
             try:
-                host = None
-                if self.config.jobs == 0 or self.degraded:
-                    # Inline execution parses on the registry host
-                    # (single-flight compile); pool workers warm-start
-                    # themselves from the artifact cache instead.
-                    host = await self.registry.host(request.grammar)
-                elif self.config.cache_dir is not None:
-                    # Ensure the artifact exists on disk before workers
-                    # try to load it (also single-flight).
-                    host = await self.registry.host(request.grammar)
+                # The parent always holds the host (single-flight compile):
+                # inline parses run on it, and the pool republishes the
+                # image workers boot from with it.
+                host = await self.registry.host(request.grammar)
                 request_id = "req-%d" % next(self._request_ids)
                 # The parser checks time.monotonic(): hand it the time
                 # left on the service clock as a deadline on that clock.
                 parse_deadline = time.monotonic() + (deadline_at - self._clock())
                 task = ParseTask(
-                    request_id, grammar_text, request.grammar,
-                    self.config.cache_dir, request.text,
-                    rule_name=request.rule, recover=request.recover,
+                    request_id, request.text, rule_name=request.rule,
+                    recover=request.recover,
                     budget=self.config.budget.with_deadline_at(parse_deadline),
                     want_tree=request.tree, chaos=self.chaos)
-                outcome = await self._execute(task, host)
+                outcome = await self._pool.run(grammar, host, task)
             finally:
                 self.admission.release()
         except ServeError:

@@ -187,9 +187,12 @@ def build_arg_parser() -> argparse.ArgumentParser:
                         "port is printed on the listening line)")
     p.add_argument("--jobs", type=int, default=0, metavar="N",
                    help="parse worker processes (default 0 = inline "
-                        "threads); the pool warm-starts from --cache")
+                        "threads); workers boot each grammar from the "
+                        "artifact image the server publishes")
     p.add_argument("--cache", metavar="DIR",
-                   help="artifact-cache directory shared with pool workers")
+                   help="artifact-cache directory: compiled grammars and "
+                        "the images pool workers boot from (default: a "
+                        "private temporary directory when --jobs > 0)")
     p.add_argument("--warm", action="store_true",
                    help="compile every registered grammar at boot instead "
                         "of on first request")

@@ -142,14 +142,17 @@ class TestBatchEngine:
         assert second.run(GOOD[:4]).ok_count == 4
 
     def test_cache_dir_workers_get_slim_initargs(self, tmp_path):
-        """With a cache directory the pickled worker config ships neither
-        the grammar text nor the artifact payload — only the artifact key
-        — and every worker boots by mmap-ing the shared ``.llt`` sidecar."""
+        """With a cache directory a unit of work ships neither the
+        grammar text nor the artifact payload — only the artifact key —
+        and every worker boots by mmap-ing the shared ``.llt`` image."""
+        from repro.batch.worker import ChunkTask
+
         cache = str(tmp_path / "cache")
         engine = BatchEngine(GRAMMAR, jobs=2, cache_dir=cache)
-        config = engine._config
-        assert config.artifact_key is not None
-        assert len(pickle.dumps(config)) < 1024  # key + flags, not tables
+        unit = pickle.dumps((cache, engine._grammar.boot,
+                             ChunkTask(GOOD[:2], **engine._settings)))
+        assert len(unit) < 1024  # key + flags + inputs, not tables
+        assert b"grammar BatchCalc" not in unit
         report = engine.run(GOOD)
         assert report.ok_count == len(GOOD)
 
@@ -162,18 +165,31 @@ class TestBatchEngine:
                [(r.input_id, r.ok, r.error_type, r.tokens)
                 for r in shipped.results]
 
-    def test_unwritable_cache_dir_falls_back_to_shipping_text(self, tmp_path):
+    def test_unwritable_cache_dir_falls_back_to_shipping_text(self, tmp_path,
+                                                              monkeypatch):
         """No image can exist in the cache directory, so the pooled run
         publishes one into a private directory and the workers boot from
         that: no pool death, no inline fallback."""
+        from repro.pool import WorkerPool
+
+        image_dirs = []
+        image_dir = WorkerPool._image_dir
+
+        def recording_image_dir(pool, grammar, host):
+            image_dirs.append(image_dir(pool, grammar, host))
+            return image_dirs[-1]
+
+        monkeypatch.setattr(WorkerPool, "_image_dir", recording_image_dir)
         blocker = tmp_path / "cache"
         blocker.write_text("not a directory")
         engine = BatchEngine(GRAMMAR, jobs=1, cache_dir=str(blocker))
-        assert engine._config.artifact_key is None
         report = engine.run(GOOD[:3])
         assert report.ok_count == 3
         assert report.pool_rebuilds == 0 and not report.degraded_to_inline
         assert all(r.worker_pid != os.getpid() for r in report.results)
+        (private,) = set(image_dirs)
+        assert private != str(blocker)
+        assert not os.path.exists(private)  # the pool removed it on close
 
     def test_inline_engine_builds_nothing_for_workers(self, monkeypatch):
         from repro.analysis.decisions import AnalysisResult
@@ -211,8 +227,6 @@ class TestBatchEngine:
             BatchEngine(GRAMMAR, jobs=-1)
         with pytest.raises(ValueError):
             BatchEngine(GRAMMAR, chunk_size=0)
-        with pytest.raises(ValueError):
-            BatchEngine(GRAMMAR, inflight_per_worker=0)
 
 
 def tree_building_row(host, text, recover):

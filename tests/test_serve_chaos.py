@@ -287,8 +287,7 @@ def test_pool_kills_degrade_to_inline_and_recover(clock_start):
     async def scenario():
         clock = FakeClock(clock_start)
         chaos = ServiceChaos(kill_rate=1.0)
-        svc = service_for(chaos=chaos, clock=clock, jobs=1,
-                          pool_rebuild_limit=1, pool_retry_cooldown=30.0)
+        svc = service_for(chaos=chaos, clock=clock, jobs=1)
         # Request 1: pool worker dies, the rebuilt pool's retry dies too
         # (same request id -> same fault), service degrades and serves
         # the request inline as a typed crash.

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.runtime.char_stream import CharStream
 from repro.runtime.token import EOF, Token, DEFAULT_CHANNEL, HIDDEN_CHANNEL
-from repro.runtime.token_stream import ListTokenStream, LookaheadWatcher
+from repro.runtime.token_stream import ListTokenStream
 
 
 class TestCharStream:
@@ -141,20 +141,3 @@ class TestListTokenStream:
         for k in range(1, len(types) + 2):
             s.la(k)
         assert s.index == before
-
-
-class TestLookaheadWatcher:
-    def test_records_max_offset(self):
-        s = ListTokenStream(_toks("a", "b", "c"))
-        w = LookaheadWatcher(s)
-        w.la(1)
-        w.la(3)
-        w.la(2)
-        assert w.max_offset == 3
-
-    def test_depth_accounts_for_consumed(self):
-        s = ListTokenStream(_toks("a", "b", "c"))
-        w = LookaheadWatcher(s)
-        w.consume()
-        w.la(2)  # looks at overall depth 3 from origin
-        assert w.max_offset == 3
