@@ -2,14 +2,28 @@
 
 The tracing layer's hot-path contract is a single ``is not None``
 attribute check in ``_adaptive_predict`` / ``_run_rule`` / ``_recover``
-when no :class:`ParseTelemetry` is attached.  This benchmark parses each
-suite grammar's workload three ways — no telemetry, telemetry enabled
-(metrics + events), and telemetry with per-rule spans — asserts the
-trees are identical, bounds the disabled-path cost at a few percent,
+when no :class:`ParseTelemetry` is attached.  This benchmark parses one
+fixed-size program per suite grammar (60 units, seed 3) six ways, asserts
+the trees are identical, bounds the disabled-path cost at a few percent,
 and records the *enabled* cost in ``benchmarks/results/`` so the price
-of turning observability on is a measured number, not folklore.
+of turning observability on is a measured number, not folklore:
+
+* ``tel off`` — ``telemetry=None``, against the bare parse;
+* ``batch`` — the instrument ``llstar batch`` attaches
+  (``capture_events=False``, tree-free), against a bare tree-free parse;
+* ``events`` — the default ``ParseTelemetry()``, which captures events;
+* ``events+spans`` — events plus a span per rule (``trace_rules=True``).
+
+The arms are interleaved: each round parses every arm once (best of
+``REPS``), alternating which arm runs first, and each cell is the median
+over ``ROUNDS`` rounds of that round's ratio to its bare parse.  Ratios
+within one round are used because absolute times drift between rounds
+and processes far more than the arms differ.  The process is pinned to
+one CPU while it measures, where the platform allows it.
 """
 
+import os
+import statistics
 import time
 
 from repro.grammars import PAPER_ORDER, load
@@ -19,7 +33,21 @@ from repro.runtime.token_stream import ListTokenStream
 
 from conftest import emit_table
 
-REPS = 5
+UNITS = 60
+SEED = 3
+ROUNDS = 12
+REPS = 3
+
+#: (arm, options factory); a fresh telemetry per parse, made untimed.
+ARMS = (
+    ("plain", lambda: ParserOptions()),
+    ("off", lambda: ParserOptions(telemetry=None)),
+    ("bare", lambda: ParserOptions(build_tree=False)),
+    ("batch", lambda: ParserOptions(
+        build_tree=False, telemetry=ParseTelemetry(capture_events=False))),
+    ("on", lambda: ParserOptions(telemetry=ParseTelemetry())),
+    ("spans", lambda: ParserOptions(telemetry=ParseTelemetry(trace_rules=True))),
+)
 
 
 def _best_of(host, tokens, make_options):
@@ -36,52 +64,86 @@ def _best_of(host, tokens, make_options):
     return best, tree, parser
 
 
+def _pin_to_one_cpu():
+    """Pin this process to one of its CPUs; returns the previous CPU set
+    (None where affinity is unsupported)."""
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    previous = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(previous)})
+    return previous
+
+
+def _measure(host, tokens):
+    """Per-arm times and per-round ratios over interleaved rounds."""
+    times = {arm: [] for arm, _ in ARMS}
+    last = {}
+    for _arm, make_options in ARMS:  # warm-up: lazy tables, programs
+        _best_of(host, tokens, make_options)
+    for round_no in range(ROUNDS):
+        order = ARMS if round_no % 2 == 0 else tuple(reversed(ARMS))
+        for arm, make_options in order:
+            elapsed, tree, parser = _best_of(host, tokens, make_options)
+            times[arm].append(elapsed)
+            last[arm] = (tree, parser)
+    base = {"off": "plain", "batch": "bare", "on": "plain", "spans": "plain"}
+    ratios = {arm: statistics.median(
+        t / b for t, b in zip(times[arm], times[base[arm]])) for arm in base}
+    medians = {arm: statistics.median(ts) for arm, ts in times.items()}
+    return medians, ratios, last
+
+
 def test_telemetry_overhead(paper_names):
     rows = []
-    for name in PAPER_ORDER:
-        bench = load(name)
-        host = bench.compile()
-        tokens = host.tokenize(bench.generate_program(5, seed=42)).tokens()
+    previous = _pin_to_one_cpu()
+    try:
+        for name in PAPER_ORDER:
+            bench = load(name)
+            host = bench.compile()
+            tokens = host.tokenize(
+                bench.generate_program(UNITS, seed=SEED)).tokens()
+            medians, ratios, last = _measure(host, tokens)
+            plain_s, off_s = medians["plain"], medians["off"]
+            plain_tree = last["plain"][0]
+            off_tree = last["off"][0]
+            on_tree, on_parser = last["on"]
+            spans_tree = last["spans"][0]
 
-        plain_s, plain_tree, _ = _best_of(
-            host, tokens, lambda: ParserOptions())
-        off_s, off_tree, _ = _best_of(
-            host, tokens, lambda: ParserOptions(telemetry=None))
-        on_s, on_tree, on_parser = _best_of(
-            host, tokens,
-            lambda: ParserOptions(telemetry=ParseTelemetry()))
-        spans_s, spans_tree, _ = _best_of(
-            host, tokens,
-            lambda: ParserOptions(telemetry=ParseTelemetry(trace_rules=True)))
+            # Observability must never change what the parser produces.
+            assert off_tree.to_sexpr() == plain_tree.to_sexpr()
+            assert on_tree.to_sexpr() == plain_tree.to_sexpr()
+            assert spans_tree.to_sexpr() == plain_tree.to_sexpr()
+            # ...and the enabled run really did observe the parse.
+            tel = on_parser.options.telemetry
+            assert tel.metrics.value("llstar_predictions_total") > 0
+            assert tel.dfa_hit_rate > 0.0
+            # Batch's tally saw the same predictions the events did.
+            batch_tel = last["batch"][1].options.telemetry
+            assert batch_tel.metrics.value("llstar_predictions_total") == \
+                tel.metrics.value("llstar_predictions_total")
 
-        # Observability must never change what the parser produces.
-        assert off_tree.to_sexpr() == plain_tree.to_sexpr()
-        assert on_tree.to_sexpr() == plain_tree.to_sexpr()
-        assert spans_tree.to_sexpr() == plain_tree.to_sexpr()
-        # ...and the enabled run really did observe the parse.
-        tel = on_parser.options.telemetry
-        assert tel.metrics.value("llstar_predictions_total") > 0
-        assert tel.dfa_hit_rate > 0.0
+            # Acceptance bound: telemetry *disabled* costs <=5% (the 10ms
+            # constant absorbs timer noise on sub-millisecond parses; both
+            # arms run the identical `tel is None` code path).
+            assert off_s <= plain_s * 1.05 + 0.01
 
-        # Acceptance bound: telemetry *disabled* costs <=5% (the 10ms
-        # constant absorbs timer noise on sub-millisecond parses; both
-        # arms run the identical `tel is None` code path).
-        assert off_s <= plain_s * 1.05 + 0.01
-
-        rows.append((
-            paper_names[name],
-            len(tokens),
-            "%.3fs" % plain_s,
-            "%.3fs" % off_s,
-            "%.3fs" % on_s,
-            "%+.1f%%" % ((on_s / plain_s - 1.0) * 100.0),
-            "%.3fs" % spans_s,
-        ))
+            rows.append((
+                paper_names[name],
+                len(tokens),
+                "%.1fms" % (plain_s * 1e3),
+                "%.1fms" % (medians["bare"] * 1e3),
+            ) + tuple("%+.1f%%" % ((ratios[arm] - 1.0) * 100.0)
+                      for arm in ("off", "batch", "on", "spans")))
+    finally:
+        if previous is not None:
+            os.sched_setaffinity(0, previous)
 
     emit_table(
         "telemetry_overhead",
-        "Telemetry overhead (best of %d): disabled is free, enabled is "
-        "the recorded price" % REPS,
-        ("Grammar", "tokens", "plain", "tel off", "tel on", "on cost",
-         "on+spans"),
+        "Telemetry overhead: median over %d interleaved rounds (best of %d "
+        "each) of the cost against the bare parse; %d-unit programs, "
+        "seed %d%s" % (ROUNDS, REPS, UNITS, SEED,
+                       ", one pinned CPU" if previous is not None else ""),
+        ("Grammar", "tokens", "plain", "tree-free", "tel off", "batch",
+         "events", "events+spans"),
         rows)

@@ -106,19 +106,25 @@ class GeneratedParser(Predictor):
         method = getattr(self, "rule_" + rule_name, None)
         if method is None:
             raise AttributeError("no generated rule method for %r" % rule_name)
-        tree = method()
-        if require_eof and self.stream.la(1) != EOF:
-            raise MismatchedTokenError("EOF", self.stream.lt(1), self.stream.index,
-                                       rule_name=rule_name)
-        return tree
+        try:
+            tree = method()
+            if require_eof and self.stream.la(1) != EOF:
+                raise MismatchedTokenError("EOF", self.stream.lt(1),
+                                           self.stream.index, rule_name=rule_name)
+            return tree
+        finally:
+            self._report_parse()
 
     # -- rule scaffolding (called by generated code) --------------------------------------
 
     def _enter(self, rule_name: str) -> Optional[RuleNode]:
-        if self.build_tree and not self.speculating:
-            node = self._builder.open_rule(rule_name, self.stream.index)
-            self._frames.append((rule_name, True))
-            return node
+        if not self._speculating:
+            if self._tally is not None:
+                self._tally.rules += 1  # a committed rule invocation
+            if self.build_tree:
+                node = self._builder.open_rule(rule_name, self.stream.index)
+                self._frames.append((rule_name, True))
+                return node
         self._frames.append((rule_name, False))
         return None
 

@@ -176,8 +176,15 @@ class LLStarParser(Predictor):
         Returns the parse tree root (or None when tree building is off).
         Raises :class:`RecognitionError` subclasses on bad input, and
         :class:`~repro.exceptions.GrammarError` when ``rule_name`` is not
-        a parser rule.
+        a parser rule.  Either way the parse's tally reaches the
+        telemetry.
         """
+        try:
+            return self._parse(rule_name, require_eof)
+        finally:
+            self._report_parse()
+
+    def _parse(self, rule_name: Optional[str], require_eof: bool):
         if rule_name is None:
             rule_name = self.grammar.start_rule
         program = self._program(rule_name)
@@ -282,7 +289,7 @@ class LLStarParser(Predictor):
         tel = self._telemetry
         rule_span = None
         if tel is not None and not self._speculating:
-            tel.record_rule(rule_name)
+            self._tally.rules += 1
             if tel.trace_rules:
                 rule_span = tel.start_span("rule:" + rule_name,
                                            self.stream.index)

@@ -41,6 +41,7 @@ from repro.exceptions import (
     NoViableAltError,
     RecognitionError,
 )
+from repro.runtime.telemetry import ParseTally
 
 
 class Predictor:
@@ -48,13 +49,23 @@ class Predictor:
 
     ``budget`` and ``telemetry`` are the optional instruments of
     :class:`~repro.runtime.parser.ParserOptions`; ``None`` keeps each
-    hook a single check on the hot path.
+    hook a single check on the hot path.  With a telemetry attached the
+    parse counts its committed predictions, rules and speculations in a
+    :class:`~repro.runtime.telemetry.ParseTally`, which the subclass's
+    ``parse`` folds in when it returns or raises (:meth:`_report_parse`);
+    a ``per_event`` telemetry gets each prediction and speculation as it
+    happens instead.
     """
 
     def __init__(self, stream, n_decisions: int, budget=None, telemetry=None):
         self.stream = stream
         self._budget = budget
         self._telemetry = telemetry
+        self._tally = None
+        self._per_event = False
+        if telemetry is not None:
+            self._tally = ParseTally(n_decisions)
+            self._per_event = telemetry.per_event
         self._speculating = 0
         # Highest stream index any active speculation has consumed up
         # to; synpred depth is measured from it.
@@ -93,6 +104,33 @@ class Predictor:
         """Evaluate a semantic predicate's code against ``frame``."""
         raise NotImplementedError
 
+    # -- telemetry -------------------------------------------------------------
+
+    def _report_parse(self) -> None:
+        """Fold this parse's tally into the telemetry (one lock
+        acquisition); the tally starts again from zero."""
+        if self._tally is not None:
+            self._telemetry.record_parse(self._tally)
+
+    def _report_prediction(self, decision: int, rule_name: str, k: int,
+                           used_predicates: bool, backtracked: bool,
+                           backtrack_depth: int, degraded: bool) -> None:
+        """Count a committed prediction other than a one-token DFA hit,
+        or deliver any prediction to a ``per_event`` telemetry."""
+        fallbacks = ()
+        if used_predicates:
+            fallbacks = ("synpred",) if backtracked else ("predicates",)
+        if degraded:
+            fallbacks += ("degraded",)
+        if self._per_event:
+            self._telemetry.record_predict(
+                decision, rule_name, k, not fallbacks, backtracked,
+                backtrack_depth, self.stream.index, fallbacks)
+            return
+        key = (decision, k, backtracked, backtrack_depth, fallbacks)
+        predictions = self._tally.predictions
+        predictions[key] = predictions.get(key, 0) + 1
+
     # -- prediction ------------------------------------------------------------
 
     def _check_deadline(self) -> None:
@@ -104,9 +142,9 @@ class Predictor:
     def _adaptive_predict(self, decision: int, frame: Dict[str, Any]) -> int:
         """Run the lookahead DFA for ``decision`` (Figure 5 rules).
 
-        Returns the predicted 1-based alternative.  Reports a committed
-        prediction to the telemetry in one call, with the lookahead depth
-        used, any backtracking, and why it left the DFA.
+        Returns the predicted 1-based alternative.  Counts a committed
+        prediction in the tally, with the lookahead depth used, any
+        backtracking, and why it left the DFA.
         """
         degraded = False
         row = self._table_rows[decision]
@@ -195,16 +233,16 @@ class Predictor:
                 reach = self.stream.index + max(probed - 1, backtrack_depth)
                 if reach > self._look_hwm:
                     self._look_hwm = reach
-            tel = self._telemetry
-            if tel is not None and not self._speculating:
-                fallbacks = ()
-                if used_predicates:
-                    fallbacks = ("synpred",) if backtracked else ("predicates",)
-                if degraded:
-                    fallbacks += ("degraded",)
-                tel.record_predict(decision, table.rule_name, max(offset, 1),
-                                   not fallbacks, backtracked, backtrack_depth,
-                                   self.stream.index, fallbacks)
+            tally = self._tally
+            if tally is not None and not self._speculating:
+                if (offset > 1 or used_predicates or degraded
+                        or self._per_event):
+                    self._report_prediction(
+                        decision, table.rule_name, max(offset, 1),
+                        used_predicates, backtracked, backtrack_depth,
+                        degraded)
+                else:
+                    tally.dfa_k1[decision] += 1
 
     def _evaluate_gates(self, table, state: int, frame: Dict[str, Any]):
         """Try ``state``'s predicate edges in stored (evaluation) order;
@@ -274,8 +312,12 @@ class Predictor:
         prev_deepest = self._deepest_spec_index
         self._deepest_spec_index = mark
         tel = self._telemetry
-        spec_span = (tel.start_span("synpred:" + name, mark)
-                     if tel is not None else None)
+        if tel is not None:
+            # Two clock reads, or a span when its order is observable.
+            if self._per_event:
+                spec_span = tel.start_span("synpred:" + name, mark)
+            else:
+                started = tel.clock()
         error = None
         matched = False
         try:
@@ -287,9 +329,16 @@ class Predictor:
             depth = max(self._deepest_spec_index, stream.index) - mark
             self._deepest_spec_index = max(prev_deepest, self._deepest_spec_index)
             self._speculating -= 1
-            if spec_span is not None:
-                tel.end_span(spec_span, stream.index, not matched)
-                tel.record_synpred(name, matched)
+            if tel is not None:
+                tally = self._tally
+                if self._per_event:
+                    tel.end_span(spec_span, stream.index, not matched)
+                else:
+                    tally.synpred_seconds.append(tel.clock() - started)
+                if matched:
+                    tally.synpreds_matched += 1
+                else:
+                    tally.synpreds_failed += 1
             # The memo table persists for the whole parse (ANTLR policy):
             # repeated speculation of the same rule at the same position
             # across decisions is what makes nested backtracking linear.

@@ -35,14 +35,16 @@ class DecisionStats:
         self.sum_backtrack_depth = 0
         self.max_backtrack_depth = 0
 
-    def record(self, depth: int, backtracked: bool, backtrack_depth: int) -> None:
-        self.events += 1
-        self.sum_depth += depth
+    def record(self, depth: int, backtracked: bool, backtrack_depth: int,
+               n: int = 1) -> None:
+        """Count ``n`` identical events."""
+        self.events += n
+        self.sum_depth += depth * n
         if depth > self.max_depth:
             self.max_depth = depth
         if backtracked:
-            self.backtrack_events += 1
-            self.sum_backtrack_depth += backtrack_depth
+            self.backtrack_events += n
+            self.sum_backtrack_depth += backtrack_depth * n
             if backtrack_depth > self.max_backtrack_depth:
                 self.max_backtrack_depth = backtrack_depth
 
@@ -86,14 +88,14 @@ class DecisionProfiler:
             self._record(decision, depth, backtracked, backtrack_depth)
 
     def _record(self, decision: int, depth: int, backtracked: bool,
-                backtrack_depth: int) -> None:
-        """:meth:`record` for a caller already holding the lock (the
-        owning telemetry's ``record_predict``)."""
+                backtrack_depth: int, n: int = 1) -> None:
+        """:meth:`record` of ``n`` identical events, for a caller already
+        holding the lock (the owning telemetry)."""
         stats = self.stats.get(decision)
         if stats is None:
             stats = self.stats[decision] = DecisionStats(decision)
-        stats.record(depth, backtracked, backtrack_depth)
-        self.total_events += 1
+        stats.record(depth, backtracked, backtrack_depth, n)
+        self.total_events += n
 
     def merge(self, other: "DecisionProfiler") -> None:
         """Fold another profiler's aggregates into this one.

@@ -29,6 +29,15 @@ Every hook is a no-op ``None`` check when telemetry is not attached
 (``benchmarks/test_telemetry_overhead.py`` bounds the cost).  ``record_*``
 methods take one internal lock, so one telemetry object can observe
 concurrent parses of a batch without losing events.
+
+A parser does not call a hook per prediction, rule or speculation: it
+counts them in its own :class:`ParseTally`, without a lock, and
+:meth:`ParseTelemetry.record_parse` folds the tally in once, when the
+parse returns or raises.  Only where their order is observable — a
+telemetry that captures events, or a :class:`TraceTelemetry` — does a
+parser deliver each prediction and speculation as it happens
+(:attr:`ParseTelemetry.per_event`).  Both paths add predictions through
+one routine, so the aggregates they leave are identical.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ __all__ = [
     "Histogram",
     "IncrementalEditEvent",
     "MetricsRegistry",
+    "ParseTally",
     "ParseTelemetry",
     "PredictEvent",
     "RecoveryEvent",
@@ -369,10 +379,11 @@ class Histogram:
         self.count = 0
         self.max = 0.0
 
-    def observe(self, value) -> None:
-        self.counts[bisect_left(self.bounds, value)] += 1
-        self.sum += value
-        self.count += 1
+    def observe(self, value, n: int = 1) -> None:
+        """Observe ``value`` ``n`` times."""
+        self.counts[bisect_left(self.bounds, value)] += n
+        self.sum += value * n
+        self.count += n
         if value > self.max:
             self.max = value
 
@@ -563,6 +574,42 @@ def _format_number(value) -> str:
 # -- the facade ----------------------------------------------------------------------
 
 
+class ParseTally:
+    """What one parse reports, counted by the parser that owns it.
+
+    A parser belongs to one thread, so it counts here without a lock;
+    :meth:`ParseTelemetry.record_parse` folds the tally in, under the
+    telemetry's lock, when the parse ends.  The counts are exactly what
+    the per-event hooks would have recorded:
+
+    * ``dfa_k1`` — one-token DFA predictions, by decision (most
+      predictions: one list increment each);
+    * ``predictions`` — every other prediction, one count per distinct
+      ``(decision, k, backtracked, backtrack_depth, fallbacks)``;
+    * ``rules`` — committed rule invocations;
+    * ``synpreds_matched`` / ``synpreds_failed`` — speculation outcomes,
+      and ``synpred_seconds`` the duration of each speculation, in the
+      order they ended (empty when speculations were timed as spans).
+    """
+
+    __slots__ = ("dfa_k1", "predictions", "rules", "synpreds_matched",
+                 "synpreds_failed", "synpred_seconds")
+
+    def __init__(self, n_decisions: int):
+        self.dfa_k1 = [0] * n_decisions
+        self.predictions: Dict[tuple, int] = {}
+        self.rules = 0
+        self.synpreds_matched = 0
+        self.synpreds_failed = 0
+        self.synpred_seconds: List[float] = []
+
+    def clear(self) -> None:
+        self.dfa_k1 = [0] * len(self.dfa_k1)
+        self.predictions = {}
+        self.rules = self.synpreds_matched = self.synpreds_failed = 0
+        self.synpred_seconds = []
+
+
 class ParseTelemetry:
     """Observability hub threaded through the runtime and cache.
 
@@ -573,23 +620,26 @@ class ParseTelemetry:
     spans are always taken (speculation is the expensive path worth
     timing).  All ``record_*`` entry points (and :attr:`profiler`) are
     serialized by one lock, so a telemetry shared across threads never
-    drops counts.
+    drops counts.  A parser reports a whole parse in one
+    :meth:`record_parse` unless :attr:`per_event` asks for each event.
     """
 
     def __init__(self, capture_events: bool = True, max_events: int = 10_000,
                  trace_rules: bool = False, clock=time.perf_counter):
         self.metrics = MetricsRegistry()
-        #: Tables 3-4's per-decision store, fed by :meth:`record_predict`.
+        #: Tables 3-4's per-decision store, fed by :meth:`record_predict`
+        #: and :meth:`record_parse`.
         self.profiler = DecisionProfiler()
         self.events: List[Any] = []
         self.capture_events = capture_events
         self.max_events = max_events
         self.trace_rules = trace_rules
         self.dropped_events = 0
-        self._clock = clock
+        #: Times spans and speculations (seconds).
+        self.clock = clock
         self._lock = self.profiler._lock
         self._local = threading.local()  # per-thread span nesting depth
-        # Labelled metrics by (name, label value or span name), cached
+        # Labelled metrics by (name, label value or span kind), cached
         # at first use, never before: an unused label exports no sample.
         self._labelled: Dict[Tuple[str, str], Any] = {}
         m = self.metrics
@@ -649,18 +699,55 @@ class ParseTelemetry:
         else:
             self.dropped_events += 1
 
-    def _count(self, name: str, help: str, label: str, value: str) -> None:
-        """Increment the labelled counter ``name{label=value}``."""
+    def _count(self, name: str, help: str, label: str, value: str,
+               n: int = 1) -> None:
+        """Add ``n`` to the labelled counter ``name{label=value}``."""
         counter = self._labelled.get((name, value))
         if counter is None:
             counter = self._labelled[(name, value)] = self.metrics.counter(
                 name, help, labels={label: value})
-        counter.value += 1
+        counter.value += n
+
+    def _span_seconds(self, kind: str) -> Histogram:
+        """The ``llstar_span_seconds{kind=...}`` histogram."""
+        key = ("llstar_span_seconds", kind)
+        hist = self._labelled.get(key)
+        if hist is None:
+            hist = self._labelled[key] = self.metrics.histogram(
+                key[0], "nested span latency by kind", labels={"kind": kind},
+                buckets=LATENCY_BUCKETS)
+        return hist
 
     def events_by_kind(self, kind: str) -> List[Any]:
         return [e for e in self.events if e.kind == kind]
 
+    @property
+    def per_event(self) -> bool:
+        """Whether a parser must deliver each prediction and speculation
+        as it happens (:meth:`record_predict`, :meth:`start_span`)
+        instead of tallying them for :meth:`record_parse`: true when
+        their order is observable, as it is in captured events."""
+        return self.capture_events
+
     # -- runtime hooks ---------------------------------------------------------
+
+    def _add_predictions(self, decision: int, k: int, dfa_hit: bool,
+                         backtracked: bool, backtrack_depth: int,
+                         fallbacks: Tuple[str, ...], n: int) -> None:
+        """Add ``n`` identical committed predictions (lock held)."""
+        self.profiler._record(decision, k, backtracked, backtrack_depth, n)
+        self._predictions.value += n
+        self._realized_k.observe(k, n)
+        if dfa_hit:
+            self._dfa_hits.value += n
+        else:
+            self._fallbacks.value += n
+            for reason in fallbacks:
+                self._count("llstar_fallback_reasons_total",
+                            "why predictions left the DFA", "reason", reason, n)
+        if backtracked:
+            self._backtracks.value += n
+            self._backtrack_depth.observe(backtrack_depth, n)
 
     def record_predict(self, decision: int, rule_name: str, k: int,
                        dfa_hit: bool, backtracked: bool, backtrack_depth: int,
@@ -668,19 +755,8 @@ class ParseTelemetry:
         """One committed prediction.  ``fallbacks`` names why it left the
         DFA (``predicates`` or ``synpred``, and ``degraded``)."""
         with self._lock:
-            self.profiler._record(decision, k, backtracked, backtrack_depth)
-            self._predictions.value += 1
-            self._realized_k.observe(k)
-            if dfa_hit:
-                self._dfa_hits.value += 1
-            else:
-                self._fallbacks.value += 1
-                for reason in fallbacks:
-                    self._count("llstar_fallback_reasons_total",
-                                "why predictions left the DFA", "reason", reason)
-            if backtracked:
-                self._backtracks.value += 1
-                self._backtrack_depth.observe(backtrack_depth)
+            self._add_predictions(decision, k, dfa_hit, backtracked,
+                                  backtrack_depth, fallbacks, 1)
             if self.capture_events:
                 self._emit(PredictEvent(decision, rule_name, k, dfa_hit,
                                         backtracked, backtrack_depth, index))
@@ -688,15 +764,36 @@ class ParseTelemetry:
                     self._emit(DfaFallbackEvent(decision, rule_name, reason,
                                                 index))
 
-    def record_synpred(self, rule_name: str, matched: bool) -> None:
-        with self._lock:
-            self._synpreds.value += 1
-            self._count("llstar_synpred_outcomes_total", "speculation outcomes",
-                        "outcome", "matched" if matched else "failed")
+    def record_parse(self, tally: ParseTally) -> None:
+        """Fold one parse's :class:`ParseTally` in, then clear it.
 
-    def record_rule(self, rule_name: str) -> None:
+        The aggregates come out as if each counted prediction, rule and
+        speculation had been recorded one at a time: one-token DFA
+        predictions as dfa hits with ``k=1``, and one
+        ``llstar_span_seconds{kind="synpred"}`` observation per timed
+        speculation, in the order they ended.
+        """
         with self._lock:
-            self._rules.value += 1
+            add = self._add_predictions
+            for decision, n in enumerate(tally.dfa_k1):
+                if n:
+                    add(decision, 1, True, False, 0, (), n)
+            for (decision, k, backtracked, backtrack_depth, fallbacks), n \
+                    in tally.predictions.items():
+                add(decision, k, not fallbacks, backtracked, backtrack_depth,
+                    fallbacks, n)
+            self._rules.value += tally.rules
+            for outcome, n in (("matched", tally.synpreds_matched),
+                               ("failed", tally.synpreds_failed)):
+                if n:
+                    self._synpreds.value += n
+                    self._count("llstar_synpred_outcomes_total",
+                                "speculation outcomes", "outcome", outcome, n)
+            if tally.synpred_seconds:
+                hist = self._span_seconds("synpred")
+                for elapsed in tally.synpred_seconds:
+                    hist.observe(elapsed)
+        tally.clear()
 
     def record_recovery(self, repair: str, rule_name: str, index: int,
                         skipped: int = 0) -> None:
@@ -751,22 +848,15 @@ class ParseTelemetry:
         local = self._local
         depth = getattr(local, "depth", 0)
         local.depth = depth + 1
-        return _OpenSpan(name, depth, self._clock())
+        return _OpenSpan(name, depth, self.clock())
 
     def end_span(self, span: _OpenSpan, index: int = -1,
                  failed: bool = False) -> float:
         """Close ``span`` at token ``index``; ``failed``: it ended in error."""
-        elapsed = self._clock() - span.started
+        elapsed = self.clock() - span.started
         self._local.depth = span.depth
-        key = ("llstar_span_seconds", span.name)
         with self._lock:
-            hist = self._labelled.get(key)
-            if hist is None:
-                hist = self._labelled[key] = self.metrics.histogram(
-                    key[0], "nested span latency by kind",
-                    labels={"kind": span.name.split(":", 1)[0]},
-                    buckets=LATENCY_BUCKETS)
-            hist.observe(elapsed)
+            self._span_seconds(span.name.partition(":")[0]).observe(elapsed)
             if self.capture_events:
                 self._emit(SpanEvent(span.name, span.depth, elapsed))
         return elapsed
@@ -819,7 +909,11 @@ class TraceTelemetry(ParseTelemetry):
     --trace`` transcript from the hooks it receives, indented by span
     depth: ``enter R @i`` / ``exit R @j [FAILED]`` per rule span,
     ``predict dN k=K [(backtracked)]`` per committed prediction, and
-    ``speculate S @i`` / ``end S @j [FAILED]`` per speculation."""
+    ``speculate S @i`` / ``end S @j [FAILED]`` per speculation.  The
+    transcript interleaves them, so a parser delivers each one as it
+    happens, whether or not events are captured."""
+
+    per_event = True
 
     def __init__(self, **kwargs):
         super().__init__(trace_rules=True, **kwargs)

@@ -5,7 +5,7 @@ a Python parser module, exec it, and require the generated parser to
 produce the *identical* parse tree the interpreter produces on a
 generated workload, and to report identical per-decision statistics
 (lookahead depth, backtracking, speculation depth) and telemetry
-prediction, fallback, backtrack and synpred counters.
+prediction, fallback, backtrack, synpred and rule-invocation counters.
 """
 
 import pytest
@@ -16,11 +16,6 @@ from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import ParserOptions
 from repro.runtime.telemetry import ParseTelemetry
 from tests.test_prediction_golden import TELEMETRY_METRICS
-
-#: The golden prediction counters, minus rule invocations (generated
-#: parsers do not report them).
-PARITY_METRICS = tuple(m for m in TELEMETRY_METRICS
-                       if m != "llstar_rule_invocations_total")
 
 
 def load_generated(host):
@@ -41,7 +36,7 @@ def decision_stats(telemetry):
 
 def prediction_counters(telemetry):
     metrics = telemetry.metrics.to_json()
-    return {m: metrics[m]["samples"] for m in PARITY_METRICS if m in metrics}
+    return {m: metrics[m]["samples"] for m in TELEMETRY_METRICS if m in metrics}
 
 
 @pytest.mark.parametrize("name", PAPER_ORDER)
