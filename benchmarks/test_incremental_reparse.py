@@ -5,10 +5,11 @@ For every suite grammar, generate a corpus-scale program, open it in an
 single-character keystroke (replacing one digit inside a token near the
 middle of the file) against a full warm reparse of the same text —
 tokenize plus parse, with a parse-only column for honesty.  The damage
-window keeps relexing to a handful of characters and the reuse table
-grafts everything outside the edited statement, so the incremental path
-must beat the from-scratch path by >= 10x on the largest corpus input,
-with the reuse rate reported alongside.
+window keeps relexing to a handful of characters and the subtrees seeded
+into the parser's (rule, start) memo graft everything outside the edited
+statement, so the incremental path must beat the from-scratch path by
+>= 10x on the largest corpus input, with the reuse rate reported
+alongside.
 
 Results land in ``benchmarks/results/incremental_reparse.txt``.
 """

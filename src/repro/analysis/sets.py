@@ -153,10 +153,6 @@ class GrammarSets:
 
     # -- convenience --------------------------------------------------------------
 
-    def resync_set(self, rule_name: str) -> Set[int]:
-        """Tokens to consume *up to* when recovering inside ``rule_name``."""
-        return self.follow.get(rule_name, set()) | {EOF}
-
     def describe(self, rule_name: str) -> str:
         v = self.grammar.vocabulary
         firsts = sorted(v.name_of(t) for t in self.first.get(rule_name, ())

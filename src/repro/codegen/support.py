@@ -3,9 +3,10 @@
 Generated modules contain plain recursive-descent methods; everything
 decision-related stays in the runtime so the generated code stays
 readable.  Prediction (DFA walk per Figure 5, synpred speculation,
-telemetry) is :class:`~repro.runtime.predict.Predictor`, the executor
-the interpreter uses too; this module adds rule scaffolding, matching
-and the speculation memo.
+telemetry, and the speculation memo behind the ``_memo_enter``/
+``_memo_exit`` hooks) is :class:`~repro.runtime.predict.Predictor`, the
+executor the interpreter uses too; this module adds rule scaffolding and
+matching.
 
 Lookahead machines are embedded as the same versioned flat-table dicts
 the artifact cache stores (see :mod:`repro.tables`)::
@@ -34,10 +35,8 @@ from repro.exceptions import (
 )
 from repro.runtime.predict import Predictor
 from repro.runtime.token import EOF
-from repro.runtime.token_stream import ListTokenStream, TokenStream
+from repro.runtime.token_stream import TokenStream
 from repro.runtime.trees import RuleNode, TreeBuilder
-
-_MEMO_FAILED = -2
 
 
 class GeneratedParser(Predictor):
@@ -78,14 +77,12 @@ class GeneratedParser(Predictor):
         return cached
 
     def __init__(self, stream: TokenStream, state: Any = None,
-                 build_tree: bool = True, memoize: bool = True, telemetry=None):
+                 build_tree: bool = True, telemetry=None):
         super().__init__(stream, len(self._live_tables()[1]),
                          telemetry=telemetry)
         self.state = state
         self.build_tree = build_tree
-        self.memoize = memoize
         self.errors: List[RecognitionError] = []
-        self._memo: Dict[Tuple[str, int], int] = {}
         # Trees are built through the shared TreeBuilder (same span and
         # attach-on-close contract as the interpreted parser).  One
         # (rule_name, opened) frame per active rule method; ``opened``
@@ -96,10 +93,6 @@ class GeneratedParser(Predictor):
         self._frames: List[Tuple[str, bool]] = []
 
     # -- entry ----------------------------------------------------------------------
-
-    @classmethod
-    def from_tokens(cls, tokens, **kwargs) -> "GeneratedParser":
-        return cls(ListTokenStream(tokens), **kwargs)
 
     def parse(self, rule_name: Optional[str] = None, require_eof: bool = True):
         rule_name = rule_name or self.START_RULE
@@ -181,25 +174,6 @@ class GeneratedParser(Predictor):
 
     def _tt(self, name: str) -> int:
         return self.TOKEN_TYPES[name]
-
-    def _memo_enter(self, rule_name: str) -> Optional[bool]:
-        """Check the speculation memo; True = cached success (stream
-        repositioned), raises on cached failure, None = no entry."""
-        if not (self.speculating and self.memoize):
-            return None
-        cached = self._memo.get((rule_name, self.stream.index))
-        if cached is None:
-            return None
-        if cached == _MEMO_FAILED:
-            raise RecognitionError("memoized failure of %s" % rule_name,
-                                   token=self.stream.lt(1), index=self.stream.index)
-        self.stream.seek(cached)
-        return True
-
-    def _memo_exit(self, rule_name: str, start_index: int, failed: bool) -> None:
-        if self.speculating and self.memoize:
-            self._memo[(rule_name, start_index)] = (
-                _MEMO_FAILED if failed else self.stream.index)
 
     # -- prediction hooks (the walk itself lives in repro.runtime.predict) ----------------
 

@@ -27,26 +27,6 @@ class Alternative:
     def sequence(self) -> ast.Sequence:
         return ast.Sequence(self.elements)
 
-    def leading_semantic_predicate(self) -> Optional[ast.SemanticPredicate]:
-        """The left-edge ``{p}?`` if this production is semantically gated."""
-        for el in self.elements:
-            if isinstance(el, ast.SemanticPredicate):
-                return el
-            if isinstance(el, (ast.Action, ast.SyntacticPredicate)):
-                continue
-            break
-        return None
-
-    def leading_syntactic_predicate(self) -> Optional[ast.SyntacticPredicate]:
-        """The left-edge ``(...)=>`` if this production is syntactically gated."""
-        for el in self.elements:
-            if isinstance(el, ast.SyntacticPredicate):
-                return el
-            if isinstance(el, ast.Action):
-                continue
-            break
-        return None
-
     def __repr__(self):
         body = " ".join(repr(e) for e in self.elements) or "ε"
         return body if self.label is None else "%s # %s" % (body, self.label)
@@ -191,10 +171,6 @@ class Grammar:
 
     def option(self, name: str, default=None):
         return self.options.get(name, default)
-
-    def source_line_count(self) -> int:
-        """Approximate grammar size in lines (Table 1's 'Lines' column)."""
-        return self.options.get("__source_lines__", len(self.rules))
 
     def __repr__(self):
         return "Grammar(%s, %d parser rules, %d lexer rules)" % (

@@ -16,7 +16,6 @@ from repro.runtime.errors import (
     BailErrorStrategy,
     DefaultErrorStrategy,
     ErrorStrategy,
-    SingleTokenDeletionStrategy,
 )
 from repro.runtime.profiler import DecisionProfiler, DecisionStats, ProfileReport
 from repro.runtime.streaming import StreamingTokenStream
@@ -64,7 +63,6 @@ __all__ = [
     "ParserBudget",
     "ErrorStrategy",
     "BailErrorStrategy",
-    "SingleTokenDeletionStrategy",
     "DefaultErrorStrategy",
     "ChaosTokenStream",
     "ChaosCharStream",

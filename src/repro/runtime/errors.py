@@ -4,15 +4,12 @@ The paper argues (Section 1) that reducing uncertainty during the parse
 is the key to good error recovery: deterministic LL decisions know
 exactly what they expected.  Strategies provided:
 
-* :class:`BailErrorStrategy` — raise immediately (useful under tests and
-  always used while speculating);
-* :class:`SingleTokenDeletionStrategy` — on a mismatch, if deleting the
-  current token would let the parse continue, report and resynchronise;
-  otherwise raise.  This is the cheap half of ANTLR's inline recovery.
-* :class:`DefaultErrorStrategy` — full ANTLR-style inline recovery:
-  single-token deletion when the *next* token matches, single-token
-  *insertion* (synthesize the missing token) when the current token is
-  viable right after the expected one.  Every repair is recorded as an
+* :class:`BailErrorStrategy` — raise immediately (a parse without
+  ``recover``; speculation never repairs either);
+* :class:`DefaultErrorStrategy` — full ANTLR-style inline recovery (a
+  parse with ``recover``): single-token deletion when the *next* token
+  matches, single-token *insertion* (synthesize the missing token) when
+  the current token is viable right after the expected one.  Every repair is recorded as an
   :class:`~repro.runtime.trees.ErrorNode` in the parse tree.
 
 Reporting is cascade-aware: once a strategy reports, the parser enters
@@ -23,7 +20,7 @@ suppressed until a token matches for real (ANTLR's
 
 from __future__ import annotations
 
-from typing import FrozenSet, List
+from typing import FrozenSet
 
 from repro.exceptions import MismatchedTokenError, RecognitionError
 from repro.runtime.token import EOF, Token
@@ -68,37 +65,7 @@ class BailErrorStrategy(ErrorStrategy):
             rule_name=rule_name)
 
 
-class SingleTokenDeletionStrategy(ErrorStrategy):
-    """Delete one offending token if the next one matches expectations."""
-
-    def recover_inline(self, parser, expected_type: int, rule_name: str,
-                       following: FrozenSet[int] = _EMPTY):
-        stream = parser.stream
-        token = stream.lt(1)
-        if stream.la(2) == expected_type:
-            return self._delete(parser, expected_type, rule_name)
-        raise MismatchedTokenError(
-            parser.vocabulary.name_of(expected_type), token, stream.index,
-            rule_name=rule_name)
-
-    def _delete(self, parser, expected_type: int, rule_name: str):
-        """Drop the extraneous current token, match the one behind it."""
-        stream = parser.stream
-        token = stream.lt(1)
-        error = MismatchedTokenError(
-            parser.vocabulary.name_of(expected_type), token, stream.index,
-            rule_name=rule_name)
-        self.report(parser, error)
-        deleted = stream.consume()
-        parser._attach_error_node(ErrorNode(error=error, tokens=[deleted]))
-        telemetry = getattr(parser, "_telemetry", None)
-        if telemetry is not None:
-            telemetry.record_recovery("delete", rule_name, stream.index,
-                                      skipped=1)
-        return stream.consume()
-
-
-class DefaultErrorStrategy(SingleTokenDeletionStrategy):
+class DefaultErrorStrategy(ErrorStrategy):
     """ANTLR's combined inline recovery: deletion, then insertion.
 
     Deletion wins when the token *after* the offender is the expected
@@ -124,6 +91,22 @@ class DefaultErrorStrategy(SingleTokenDeletionStrategy):
             parser.vocabulary.name_of(expected_type), token, stream.index,
             rule_name=rule_name)
 
+    def _delete(self, parser, expected_type: int, rule_name: str):
+        """Drop the extraneous current token, match the one behind it."""
+        stream = parser.stream
+        token = stream.lt(1)
+        error = MismatchedTokenError(
+            parser.vocabulary.name_of(expected_type), token, stream.index,
+            rule_name=rule_name)
+        self.report(parser, error)
+        deleted = stream.consume()
+        parser._attach_error_node(ErrorNode(error=error, tokens=[deleted]))
+        telemetry = getattr(parser, "_telemetry", None)
+        if telemetry is not None:
+            telemetry.record_recovery("delete", rule_name, stream.index,
+                                      skipped=1)
+        return stream.consume()
+
     def _insert(self, parser, expected_type: int, rule_name: str):
         stream = parser.stream
         token = stream.lt(1)
@@ -141,6 +124,3 @@ class DefaultErrorStrategy(SingleTokenDeletionStrategy):
             telemetry.record_recovery("insert", rule_name, stream.index)
         return missing
 
-
-def format_errors(errors: List[RecognitionError]) -> str:
-    return "\n".join(str(e) for e in errors)

@@ -26,21 +26,22 @@ spliced back with its character offsets (and line/column coordinates)
 shifted, never rescanned.  Relexing that reaches end of input simply has
 no suffix.
 
-**Reuse table & invalidation policy.**  The previous tree is harvested
-into a :class:`ReuseTable` keyed by ``(rule name, start token index)``
-in *new* token coordinates.  A subtree qualifies only if its derivation
-was a pure function of its tokens: ``RuleNode.look_stop >= 0``, meaning
-no actions, predicates, rule arguments, or error repairs ran while it
-was open, and ``look_stop`` bounds every token prediction examined on
-its watch.  A pure subtree is valid when all the tokens it depends on —
-``[start, max(stop, look_stop)]`` — are unchanged: entirely before the
-first damaged token, or entirely within the shifted suffix (when the
-edit changed nothing but whitespace/comments, the token sequence is
+**Seeds & invalidation policy.**  The previous tree is harvested into a
+plain mapping keyed by ``(rule name, start token index)`` in *new*
+token coordinates.  A subtree qualifies only if its derivation was a
+pure function of its tokens: ``RuleNode.look_stop >= 0``, meaning no
+actions, predicates, rule arguments, or error repairs ran while it was
+open, and ``look_stop`` is the rule's reach, the last token its
+derivation examined.  A pure subtree is valid when all the tokens it
+depends on — ``[start, look_stop]`` — are unchanged: entirely before
+the first damaged token, or entirely within the shifted suffix (when
+the edit changed nothing but whitespace/comments, the token sequence is
 identical and every pure subtree qualifies in place).  Harvesting is
-outermost-wins and does not descend into a harvested subtree, so table
-construction touches only the spine around the damage.  The parser
-probes the table at rule entry (next to the speculation memo probe) and
-grafts hits via the tree builder; misses — and the damaged region
+outermost-wins and does not descend into a harvested subtree, so it
+touches only the spine around the damage.  The mapping seeds the
+parser's ``(rule, start)`` memo (``ParserOptions.reuse``): speculation
+seeks past a seeded subtree as past a memoized match, the committed
+parse grafts it via the tree builder; misses — and the damaged region
 itself — fall back to normal LL(*) prediction and error recovery.
 
 Edits are transactional at the lexical level: a :class:`LexerError`
@@ -53,7 +54,7 @@ scratch.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.exceptions import GrammarError
 from repro.runtime.parser import LLStarParser, ParserOptions
@@ -61,45 +62,16 @@ from repro.runtime.token import DEFAULT_CHANNEL, EOF, Token
 from repro.runtime.token_stream import ListTokenStream
 from repro.runtime.trees import RuleNode
 
-__all__ = ["EditSession", "EditStats", "ReuseTable"]
+__all__ = ["EditSession", "EditStats"]
 
 #: One lexeme scan: (char start, char end, exclusive scan high-water
 #: mark, produced token or None for a skipped rule).  Records tile the
 #: text exactly and always end with an EOF record (start == end == len).
 _LexRecord = Tuple[int, int, int, Optional[Token]]
 
-
-class ReuseTable:
-    """Subtrees from a previous parse, keyed by ``(rule, start index)``.
-
-    ``take`` pops on hit so one node object can never be grafted into
-    two places.  ``hits``/``reused_tokens`` accumulate graft statistics
-    for the session's telemetry.
-    """
-
-    __slots__ = ("_entries", "hits", "reused_tokens")
-
-    def __init__(self):
-        self._entries = {}
-        self.hits = 0
-        self.reused_tokens = 0
-
-    def add(self, node: RuleNode) -> None:
-        # setdefault keeps the outermost node when keys collide.
-        self._entries.setdefault((node.rule_name, node.start), node)
-
-    def take(self, rule_name: str, index: int) -> Optional[RuleNode]:
-        node = self._entries.pop((rule_name, index), None)
-        if node is not None:
-            self.hits += 1
-            self.reused_tokens += node.stop - node.start + 1
-        return node
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __repr__(self):
-        return "ReuseTable(%d entries, %d hits)" % (len(self._entries), self.hits)
+#: Subtrees of the previous tree that the next parse may reuse, keyed by
+#: ``(rule name, start token index)`` in new token coordinates.
+_Seeds = Dict[Tuple[str, int], RuleNode]
 
 
 class EditStats:
@@ -147,10 +119,13 @@ class EditSession:
     intermediate states.  With ``recover=False`` a failing edit raises;
     the lexical state still advances (the text *did* change) but the
     tree is dropped until an edit parses again.
+
+    Each edit reuses subtrees of the previous tree, and takes apart the
+    rest of it: a tree that :meth:`edit` has replaced is no longer valid.
     """
 
     def __init__(self, host, text: str, rule_name: Optional[str] = None,
-                 recover: bool = True, telemetry=None, memoize: bool = True):
+                 recover: bool = True, telemetry=None):
         if host.lexer_spec is None:
             raise GrammarError(
                 "grammar %s has no lexer rules; EditSession needs text input"
@@ -159,7 +134,6 @@ class EditSession:
         self.rule_name = rule_name
         self.recover = recover
         self.telemetry = telemetry
-        self.memoize = memoize
         self.text = text
         self.tree: Optional[RuleNode] = None
         self.errors: list = []
@@ -167,7 +141,7 @@ class EditSession:
         self._recs: List[_LexRecord] = self._lex_from(text, 0, [])
         self._index_records()
         self._stream = self._build_stream()
-        self._reparse(ReuseTable())
+        self._reparse({})
 
     # -- public surface ----------------------------------------------------
 
@@ -185,8 +159,9 @@ class EditSession:
     def edit(self, start: int, end: int, replacement: str):
         """Replace ``text[start:end]`` with ``replacement`` and reparse.
 
-        Returns the new tree root.  Raises :class:`LexerError` (session
-        unchanged) when the damaged region cannot be tokenized, or a
+        Returns the new tree root; the previous root is no longer valid.
+        Raises :class:`LexerError` (session unchanged) when the damaged
+        region cannot be tokenized, or a
         :class:`~repro.exceptions.RecognitionError` when
         ``recover=False`` and the new text does not parse (lexical state
         committed, tree dropped).
@@ -236,11 +211,12 @@ class EditSession:
         # in place.
         unchanged = (p == s_old and middle_vis == 0)
 
-        # 4. Harvest the old tree into the reuse table (shifting suffix
-        # subtree spans into new coordinates as a side effect).
-        table = ReuseTable()
+        # 4. Harvest the old tree into seeds for the parser's memo
+        # (shifting suffix subtree spans into new coordinates as a side
+        # effect).
+        seeds: _Seeds = {}
         if self.tree is not None:
-            self._harvest(self.tree, p, s_old, delta_tokens, unchanged, table)
+            self._harvest(self.tree, p, s_old, delta_tokens, unchanged, seeds)
 
         # 5. Commit the new lexical state: splice records, shift the
         # suffix tokens' character/line/column coordinates, rebuild the
@@ -254,15 +230,15 @@ class EditSession:
         self._index_records()
         self._stream = self._build_stream()
 
-        # 6. Reparse, consulting the reuse table at every rule entry.
-        self._reparse(table)
+        # 6. Reparse with the seeds in the parser's (rule, start) memo.
+        parser = self._reparse(seeds)
 
         stats = EditStats(
             relexed_chars=relex_end - relex_from,
             damaged_tokens=middle_vis,
             shifted_tokens=old_vis_total - s_old,
-            reused_nodes=table.hits,
-            reused_tokens=table.reused_tokens,
+            reused_nodes=parser.reused_nodes,
+            reused_tokens=parser.reused_tokens,
             total_tokens=self._stream.size,
             token_delta=delta_tokens,
         )
@@ -373,23 +349,24 @@ class EditSession:
 
     @staticmethod
     def _harvest(tree: RuleNode, p: int, s_old: int, delta_tokens: int,
-                 unchanged: bool, table: ReuseTable) -> None:
+                 unchanged: bool, seeds: _Seeds) -> None:
         """Walk the old tree top-down collecting reusable subtrees.
 
         Outermost wins: a harvested subtree is not descended into, so
         this touches only the spine around the damaged region.  Suffix
-        subtrees are span-shifted into new token coordinates here (the
-        old tree is dead after this walk — mutating it is fine).
+        subtrees are span-shifted into new token coordinates here, and
+        every spine node walked through loses its children (the old
+        tree is dead after this walk — mutating it is fine, and cutting
+        the spine loose lets it be freed without a cyclic collection).
         """
         stack = [tree]
         while stack:
             node = stack.pop()
             if node.look_stop >= 0 and node.stop >= node.start:
-                if unchanged:
-                    table.add(node)
-                    continue
-                if node.stop < p and node.look_stop < p:
-                    table.add(node)  # untouched prefix, spans unchanged
+                if unchanged or node.look_stop < p:
+                    # Identical tokens, or an untouched prefix (a node's
+                    # reach is at least its last token): spans unchanged.
+                    seeds.setdefault((node.rule_name, node.start), node)
                     continue
                 # The root is invoked exactly once, at index 0 — shifted
                 # to any other key it could never be probed, and adding
@@ -397,23 +374,25 @@ class EditSession:
                 if node.start >= s_old and node is not tree:
                     if delta_tokens:
                         _shift_subtree(node, delta_tokens)
-                    table.add(node)
+                    seeds.setdefault((node.rule_name, node.start), node)
                     continue
             # Impure, empty, or straddling the damage: try the children.
             for child in node.children:
                 if type(child) is RuleNode:
                     stack.append(child)
+            node.children.clear()
 
     # -- parsing -----------------------------------------------------------
 
-    def _reparse(self, table: ReuseTable) -> None:
-        options = ParserOptions(recover=self.recover, memoize=self.memoize,
-                                telemetry=self.telemetry, reuse=table)
+    def _reparse(self, seeds: _Seeds) -> LLStarParser:
+        options = ParserOptions(recover=self.recover,
+                                telemetry=self.telemetry, reuse=seeds)
         parser = LLStarParser(self.host.analysis, self._stream, options)
         self.tree = None
         tree = parser.parse(self.rule_name)
         self.tree = tree
         self.errors = parser.errors
+        return parser
 
     def __repr__(self):
         return "EditSession(%d chars, %d tokens%s)" % (

@@ -20,7 +20,8 @@ Speculation machinery (Section 4):
 * rule invocations are memoized per ``(rule, token index)`` *only while
   speculating* (the paper's policy: "ANTLR only memoizes while
   speculating"), turning nested backtracking from exponential to linear
-  like a packrat parser;
+  like a packrat parser; the table is the predictor's, which an
+  incremental reparse seeds with reusable subtrees;
 * prediction errors are reported at the specific token that killed the
   DFA or the deepest token a failed speculation reached (Section 4.4).
 """
@@ -47,62 +48,54 @@ from repro.exceptions import (
     RecognitionError,
 )
 from repro.runtime.budget import ParserBudget
-from repro.runtime.errors import (
-    BailErrorStrategy,
-    DefaultErrorStrategy,
-    ErrorStrategy,
-)
-from repro.runtime.predict import Predictor
+from repro.runtime.errors import BailErrorStrategy, DefaultErrorStrategy
+from repro.runtime.predict import _MEMO_FAILED, Predictor
 from repro.runtime.token import EOF
 from repro.runtime.token_stream import TokenStream
 from repro.runtime.trees import ErrorNode, RuleNode, TreeBuilder
-
-_MEMO_FAILED = -2  # sentinel stop index for memoized failures
 
 
 class ParserOptions:
     """Runtime knobs.
 
-    ``memoize``: cache speculative rule invocations (packrat-style).
+    ``memoize``: cache speculative rule invocations (packrat-style);
+    off, speculation reads no memo entry, seeded ones included.
     ``build_tree``: construct a parse tree (off for pure recognition).
     ``user_state``: arbitrary object exposed to actions/predicates as
     ``state``.
     ``action_globals``: extra names visible to embedded Python code.
-    ``error_strategy``: inline-mismatch handling outside speculation.
+    ``recover``: repair errors instead of raising (see below).
     ``budget``: a :class:`~repro.runtime.budget.ParserBudget` of resource
     limits; crossing one raises
     :class:`~repro.exceptions.BudgetExceededError`.
     ``telemetry``: a :class:`~repro.runtime.telemetry.ParseTelemetry`,
     the parser's one observer: per-decision statistics (Tables 3-4),
     metrics, events, spans and, as a ``TraceTelemetry``, a trace.
-    ``reuse``: a :class:`~repro.runtime.incremental.ReuseTable` of
-    subtrees from a previous parse of (mostly) the same tokens.  The
-    rule-invocation path probes it next to the speculation memo: a hit
-    grafts the old subtree and advances the stream past it; a miss
-    falls back to normal prediction.  Attaching a reuse table also
-    turns on the lookahead high-water / purity bookkeeping that makes
-    the *new* tree reusable in turn.
+    ``reuse``: a mapping ``(rule name, start index) -> RuleNode`` of
+    subtrees from a previous parse of (mostly) the same tokens, which
+    seeds the parser's rule memo.  Speculation seeks past a seeded
+    subtree as past a memoized match; the committed parse grafts it and
+    advances the stream past it.  Passing a mapping, even an empty one,
+    also turns on the purity and reach bookkeeping that makes the *new*
+    tree reusable in turn.
     """
 
     def __init__(self, memoize: bool = True, build_tree: bool = True,
                  user_state: Any = None,
                  action_globals: Optional[Dict[str, Any]] = None,
-                 error_strategy: Optional[ErrorStrategy] = None,
                  recover: bool = False, budget: Optional[ParserBudget] = None,
                  telemetry=None, reuse=None):
         self.memoize = memoize
         self.build_tree = build_tree
         self.user_state = user_state
         self.action_globals = dict(action_globals) if action_globals else {}
-        # A recovering parse defaults to full inline repair
-        # (deletion + insertion); a bailing parse fails fast.
-        self.error_strategy = error_strategy or (
-            DefaultErrorStrategy() if recover else BailErrorStrategy())
-        # Panic-mode recovery: on an error inside rule A (outside
-        # speculation), report it, consume tokens until a token some
-        # rule on the invocation stack can use (sync-and-return), and
-        # continue — so one parse surfaces *all* the input's errors,
-        # the deterministic-LL error-handling advantage of Section 1.
+        # Recovery: inline repair of a mismatched token (single-token
+        # deletion or insertion); failing that, panic mode — on an
+        # error inside rule A (outside speculation), report it, consume
+        # tokens until a token some rule on the invocation stack can
+        # use (sync-and-return), and continue — so one parse surfaces
+        # *all* the input's errors, the deterministic-LL error-handling
+        # advantage of Section 1.  Without it a parse fails fast.
         self.recover = recover
         self.budget = budget
         self.telemetry = telemetry
@@ -122,7 +115,8 @@ class LLStarParser(Predictor):
                  options: Optional[ParserOptions] = None):
         options = options or ParserOptions()
         super().__init__(stream, len(analysis.records),
-                         budget=options.budget, telemetry=options.telemetry)
+                         budget=options.budget, telemetry=options.telemetry,
+                         seed=options.reuse)
         self.analysis = analysis
         self.grammar = analysis.grammar
         self.atn = analysis.atn
@@ -135,8 +129,11 @@ class LLStarParser(Predictor):
         self._build_tree = options.build_tree
         self._memoize = options.memoize
         self._recover_errors = options.recover
+        # A recovering parse repairs inline (deletion + insertion); a
+        # bailing parse fails fast.
+        self._error_strategy = (DefaultErrorStrategy() if options.recover
+                                else BailErrorStrategy())
         self.errors: List[RecognitionError] = []
-        self._memo: Dict[Tuple[str, int], int] = {}
         self._last_recovery_index = -1
         # While True, subsequent errors are cascades of one mistake and
         # are resynced silently; cleared when a token matches for real.
@@ -158,15 +155,15 @@ class LLStarParser(Predictor):
         # Structured degradation events (missing DFAs rebuilt on the fly).
         self.degradations: List[Any] = []
         # Incremental-reparse state (see repro.runtime.incremental).
-        # ``_look_hwm`` is the highest token index any prediction has
-        # examined so far — monotone over the whole parse, so the value
-        # at rule close conservatively bounds every lookahead that ran
-        # inside the rule.  ``_impure_ops`` counts derivation-affecting
-        # side operations (actions, predicates, repairs); a rule whose
+        # ``_seeded``: the memo holds subtrees the committed parse may
+        # graft.  ``_impure_ops`` counts derivation-affecting side
+        # operations (actions, predicates, repairs); a rule whose
         # open/close counts match derived itself purely from tokens.
-        self._reuse = options.reuse
-        self._track_look = self._reuse is not None
+        # ``reused_nodes``/``reused_tokens`` count this parse's grafts.
+        self._seeded = bool(self._memo)
         self._impure_ops = 0
+        self.reused_nodes = 0
+        self.reused_tokens = 0
 
     # -- public entry points --------------------------------------------------------
 
@@ -197,7 +194,7 @@ class LLStarParser(Predictor):
             error = MismatchedTokenError("EOF", token, self.stream.index,
                                          rule_name=rule_name)
             if self._recover_errors:
-                reported = self.options.error_strategy.report(self, error)
+                reported = self._error_strategy.report(self, error)
                 skipped = []
                 while self.stream.la(1) != EOF:
                     # A hostile tail (e.g. an unbounded stream of junk)
@@ -247,30 +244,26 @@ class LLStarParser(Predictor):
     def _run_rule(self, program: RuleProgram, arg_values) -> Optional[RuleNode]:
         rule_name = program.name
         memo_key = None
-        if self._speculating and self._memoize and not program.params:
+        # The one probe of the (rule, start) memo, for a parameterless
+        # rule (a parameterized one may depend on its arguments).
+        # Speculation replays any entry: a memoized match or failure, or
+        # a subtree seeded from a previous parse, which derived this
+        # rule here from tokens that have not changed.  The committed
+        # path of a seeded parse grafts such a subtree and removes its
+        # entry — except in recovery mode, where grafting would skip the
+        # match that ends cascade suppression.
+        if ((self._memoize if self._speculating else self._seeded)
+                and not program.params):
             memo_key = (rule_name, self.stream.index)
-            cached = self._memo.get(memo_key)
-            if cached is not None:
-                if cached == _MEMO_FAILED:
-                    raise RecognitionError(
-                        "memoized failure of rule %s" % rule_name,
-                        token=self.stream.lt(1), index=self.stream.index)
-                self.stream.seek(cached)
-                return None  # tree building is off while speculating
-
-        # Incremental-reparse probe, the memo probe's sibling: a
-        # previous parse derived this rule at this (new) position from
-        # tokens that have not changed, so its subtree is this parse's
-        # derivation verbatim — graft it and skip the region.  Off
-        # while speculating (no tree), during recovery mode (grafting
-        # would skip the match that ends cascade suppression), and for
-        # parameterized invocations (the subtree may depend on args).
-        if (self._reuse is not None and not self._speculating
-                and not self._error_recovery_mode
-                and self._build_tree and not arg_values):
-            reused = self._reuse.take(rule_name, self.stream.index)
-            if reused is not None:
-                return self._graft(reused)
+            entry = self._memo.get(memo_key)
+            if entry is not None:
+                if self._speculating:
+                    self._memo_replay(entry, rule_name)
+                    return None  # tree building is off while speculating
+                if (type(entry) is RuleNode and self._build_tree
+                        and not self._error_recovery_mode):
+                    del self._memo[memo_key]
+                    return self._graft(entry)
 
         # The builder opens a node at the entry stream position; the
         # node attaches to its parent only at close, so a failed rule
@@ -283,9 +276,12 @@ class LLStarParser(Predictor):
             frame["ctx"] = node
         else:
             frame = {"ctx": node}
-        closed = False
         failed = True
-        impure_mark = self._impure_ops
+        track = self._track_look
+        if track:
+            impure_mark = self._impure_ops
+            outer_reach = self._reach
+            self._reach = -1
         tel = self._telemetry
         rule_span = None
         if tel is not None and not self._speculating:
@@ -308,42 +304,63 @@ class LLStarParser(Predictor):
                 self._walk(program, frame, node)
                 failed = False
             except RecognitionError as error:
-                if memo_key is not None:
+                if track:
+                    reach = self._close_reach(outer_reach, self.stream.index)
+                    if memo_key is not None and self._speculating:
+                        self._memo[memo_key] = (_MEMO_FAILED, reach)
+                elif memo_key is not None:
                     self._memo[memo_key] = _MEMO_FAILED
                 if self._recover_errors and not self._speculating:
                     self._recover(rule_name, error)
                     if node is not None:
                         self._builder.close_rule(self.stream.index)
-                        closed = True
                     return node
                 raise
         except BaseException:
-            if node is not None and not closed:
+            # A rule that recovered closed its node and returned.
+            if node is not None:
                 self._builder.abandon_rule()
             raise
         finally:
             self._rule_depth -= 1
             if rule_span is not None:
                 tel.end_span(rule_span, self.stream.index, failed)
-        if memo_key is not None:
+        # Only speculation records outcomes.  Without reach tracking
+        # nothing is seeded, so only speculation probed (set memo_key).
+        if track:
+            reach = self._close_reach(outer_reach, self.stream.index - 1)
+            if memo_key is not None and self._speculating:
+                self._memo[memo_key] = (self.stream.index, reach)
+            if (node is not None and not program.params
+                    and self._impure_ops == impure_mark):
+                # Pure derivation: tokens [start, look_stop] fully
+                # determine this subtree.
+                node.look_stop = reach
+        elif memo_key is not None:
             self._memo[memo_key] = self.stream.index
         if node is not None:
-            if (self._track_look and not program.params
-                    and self._impure_ops == impure_mark):
-                # Pure derivation: tokens [start, max(stop, look_stop)]
-                # fully determine this subtree.  The global high-water
-                # mark is conservative (it may reflect lookahead from
-                # earlier in the parse) but never understates the reach.
-                node.look_stop = self._look_hwm
             self._builder.close_rule(self.stream.index)
         return node
+
+    def _close_reach(self, outer_reach: int, last: int) -> int:
+        """Close a rule invocation's reach: the largest index its
+        predictions, speculations and nested rules examined, or ``last``
+        — its last consumed token, or the token at which it failed.  The
+        enclosing invocation's reach (``outer_reach`` so far) covers it.
+        Only a parse with reach tracking calls this; an exception other
+        than a recognition error ends the parse, so it skips this."""
+        reach = self._reach if self._reach > last else last
+        self._reach = reach if reach > outer_reach else outer_reach
+        return reach
 
     def _graft(self, node: RuleNode) -> RuleNode:
         """Splice a subtree reused from a previous parse into the tree
         under construction and advance the stream past its span."""
         self.stream.seek(node.stop + 1)
-        if node.look_stop > self._look_hwm:
-            self._look_hwm = node.look_stop
+        if node.look_stop > self._reach:
+            self._reach = node.look_stop
+        self.reused_nodes += 1
+        self.reused_tokens += node.stop - node.start + 1
         builder = self._builder
         if builder.attach(node):
             # A node that used to be a root (whole-tree reuse in some
@@ -432,7 +449,7 @@ class LLStarParser(Predictor):
                                        rule_name=rule_name)
         if expected_type is not None:
             following = self._viable_after(transition.target, rule_name)
-            return self.options.error_strategy.recover_inline(
+            return self._error_strategy.recover_inline(
                 self, expected_type, rule_name, following)
         raise MismatchedTokenError(repr(transition), token, self.stream.index,
                                    rule_name=rule_name)
@@ -458,7 +475,7 @@ class LLStarParser(Predictor):
                 raise BudgetExceededError(
                     "recovery attempts", budget.max_recovery_attempts,
                     spent=attempts, token=self.stream.lt(1), index=at)
-        reported = self.options.error_strategy.report(self, error)
+        reported = self._error_strategy.report(self, error)
         resync = self._recovery_set()
         skipped = []
         while self.stream.la(1) not in resync and self.stream.la(1) != EOF:

@@ -29,6 +29,12 @@ allocation.
 Failed predictions are reported at the token that killed the DFA, or at
 the deepest token a failed speculation reached when every gate failed
 beyond it (Section 4.4).
+
+The predictor also owns the parse's one ``(rule name, start index)``
+memo (Section 6.2): what one invocation of a parameterless rule did at
+that index.  Speculation reads and writes it, which keeps nested
+backtracking linear; an incremental reparse seeds it with the previous
+tree's reusable subtrees (see :mod:`repro.runtime.incremental`).
 """
 
 from __future__ import annotations
@@ -43,6 +49,9 @@ from repro.exceptions import (
 )
 from repro.runtime.telemetry import ParseTally
 
+#: A memo entry's stop index for an invocation that failed.
+_MEMO_FAILED = -2
+
 
 class Predictor:
     """Per-parse prediction state plus the Figure-5 table walk.
@@ -55,9 +64,14 @@ class Predictor:
     ``parse`` folds in when it returns or raises (:meth:`_report_parse`);
     a ``per_event`` telemetry gets each prediction and speculation as it
     happens instead.
+
+    ``seed`` (a mapping ``(rule name, start index) -> RuleNode``, possibly
+    empty) starts the memo with subtrees from a previous parse and turns
+    on reach tracking; ``None`` leaves both off.
     """
 
-    def __init__(self, stream, n_decisions: int, budget=None, telemetry=None):
+    def __init__(self, stream, n_decisions: int, budget=None, telemetry=None,
+                 seed=None):
         self.stream = stream
         self._budget = budget
         self._telemetry = telemetry
@@ -78,11 +92,20 @@ class Predictor:
         # first prediction so the hot path pays one list index + tuple
         # unpack instead of a property call and six attribute fetches.
         self._table_rows: List[Optional[tuple]] = [None] * n_decisions
-        # Lookahead high-water mark for incremental reparsing: the
-        # highest token index any prediction has examined so far.  Only
-        # maintained while ``_track_look`` is set.
-        self._track_look = False
-        self._look_hwm = -1
+        # The (rule name, start index) memo.  An entry is the stop index
+        # of a match (the stream index after it) or _MEMO_FAILED; with
+        # reach tracking on, a (stop, reach) pair; or a RuleNode seeded
+        # from a previous parse (stop ``node.stop + 1``, reach
+        # ``node.look_stop``).
+        self._memo: Dict[Tuple[str, int], Any] = (
+            {} if seed is None else dict(seed))
+        # Reach tracking, for incremental reparsing: ``_reach`` is the
+        # highest token index the innermost open rule invocation has
+        # examined so far (its predictions and speculations, its nested
+        # rules, replayed memo hits); the invocation saves and resets it
+        # on entry and raises the saved value by its own reach on exit.
+        self._track_look = seed is not None
+        self._reach = -1
 
     @property
     def speculating(self) -> bool:
@@ -103,6 +126,46 @@ class Predictor:
     def _eval_predicate(self, predicate, frame: Dict[str, Any]) -> bool:
         """Evaluate a semantic predicate's code against ``frame``."""
         raise NotImplementedError
+
+    # -- the (rule, start) memo ------------------------------------------------
+
+    def _memo_replay(self, entry, rule_name: str) -> None:
+        """Replay memo ``entry`` for a speculative invocation of
+        ``rule_name`` at the current index: raise the reach by the
+        entry's, then seek past a match or raise the memoized failure."""
+        if self._track_look:
+            if type(entry) is tuple:
+                stop, reach = entry
+            else:  # a subtree seeded from a previous parse
+                stop, reach = entry.stop + 1, entry.look_stop
+            if reach > self._reach:
+                self._reach = reach
+        else:  # without reach tracking an entry is a bare stop index
+            stop = entry
+        if stop == _MEMO_FAILED:
+            raise RecognitionError(
+                "memoized failure of rule %s" % rule_name,
+                token=self.stream.lt(1), index=self.stream.index)
+        self.stream.seek(stop)
+
+    def _memo_enter(self, rule_name: str) -> bool:
+        """A generated rule method's memo probe: True when a memoized
+        match moved the stream past the rule; raises on a memoized
+        failure.  Only speculation reads the memo."""
+        if self._speculating:
+            entry = self._memo.get((rule_name, self.stream.index))
+            if entry is not None:
+                self._memo_replay(entry, rule_name)
+                return True
+        return False
+
+    def _memo_exit(self, rule_name: str, start_index: int,
+                   failed: bool) -> None:
+        """A generated rule method's memo write: only speculation
+        records outcomes."""
+        if self._speculating:
+            self._memo[(rule_name, start_index)] = (
+                _MEMO_FAILED if failed else self.stream.index)
 
     # -- telemetry -------------------------------------------------------------
 
@@ -227,12 +290,12 @@ class Predictor:
         finally:
             self._dfa_steps = steps
             if self._track_look and probed:
-                # Tokens [index, index + probed - 1] were examined here
-                # (plus whatever depth speculation reached): lift the
-                # parse-global lookahead high-water mark over them.
-                reach = self.stream.index + max(probed - 1, backtrack_depth)
-                if reach > self._look_hwm:
-                    self._look_hwm = reach
+                # Tokens [index, index + probed - 1] were examined here;
+                # the gates' speculations raised the reach themselves
+                # (each is a rule invocation that closes into it).
+                reach = self.stream.index + probed - 1
+                if reach > self._reach:
+                    self._reach = reach
             tally = self._tally
             if tally is not None and not self._speculating:
                 if (offset > 1 or used_predicates or degraded

@@ -79,11 +79,6 @@ class ListTokenStream(TokenStream):
         self._tokens = visible
         self._index = 0
 
-    @classmethod
-    def from_lexer(cls, lexer) -> "ListTokenStream":
-        """Drain a lexer (anything iterable over Tokens) into a stream."""
-        return cls(iter(lexer))
-
     # -- TokenStream interface -------------------------------------------
 
     def la(self, offset: int = 1) -> int:
@@ -132,10 +127,6 @@ class ListTokenStream(TokenStream):
 
     def hidden_tokens(self) -> List[Token]:
         return list(self._hidden)
-
-    def text_between(self, start: int, stop: int) -> str:
-        """Source-order text of visible tokens in stream-index [start, stop)."""
-        return " ".join(t.text for t in self._tokens[start:stop] if t.type != EOF)
 
     def __len__(self):
         return len(self._tokens)

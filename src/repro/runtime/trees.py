@@ -268,14 +268,14 @@ class RuleNode(ParseTree):
     by the builder); every descendant reaches it through the parent
     chain for :attr:`ParseTree.source_text`.
 
-    ``look_stop`` records how far prediction looked while this rule was
-    deriving: the highest token index any lookahead examined between
-    rule entry and exit, or -1 when the derivation is not a pure
-    function of its tokens (actions, predicates, rule parameters, or
-    error repairs ran inside it).  A node with ``look_stop >= 0`` can be
-    reused verbatim by an incremental reparse whenever tokens
-    ``[start, max(stop, look_stop)]`` are unchanged (see
-    :mod:`repro.runtime.incremental`).
+    ``look_stop`` is the rule's reach: the highest token index its
+    derivation examined — its predictions and speculations, nested rules
+    and memo hits included, and at least its last token — or -1 when the
+    derivation is not a pure function of its tokens (actions,
+    predicates, rule parameters, or error repairs ran inside it).  A
+    node with ``look_stop >= 0`` can be reused verbatim by an
+    incremental reparse whenever tokens ``[start, look_stop]`` are
+    unchanged (see :mod:`repro.runtime.incremental`).
     """
 
     __slots__ = ("rule_name", "children", "value", "alt", "source", "look_stop")
@@ -391,18 +391,6 @@ class TreeBuilder:
     def add_token(self, token) -> TokenNode:
         node = TokenNode(token)
         self._stack[-1].add(node)
-        return node
-
-    def add_error(self, error=None, tokens=(), inserted=None,
-                  at: int = -1) -> ErrorNode:
-        """Record a repair on the innermost open rule (no-op target when
-        nothing is open: the node is still returned, unattached)."""
-        node = ErrorNode(error=error, tokens=tokens, inserted=inserted, at=at)
-        if self._stack:
-            cur = self._stack[-1]
-            cur.add(node)
-            if node.stop > cur.stop:
-                cur.stop = node.stop
         return node
 
     def attach(self, node: ParseTree) -> bool:

@@ -51,10 +51,6 @@ class AdmissionController:
         self.peak_queued = 0
         self.shed_total = 0
 
-    @property
-    def saturated(self) -> bool:
-        return self.queued >= self.queue_limit
-
     def _shed(self) -> SheddingError:
         self.shed_total += 1
         # Scale the hint with how deep the backlog is: a caller told to

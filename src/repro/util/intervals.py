@@ -129,9 +129,6 @@ class IntervalSet:
                 j += 1
         return out
 
-    def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        return self.intersection(other.complement(self.min(), self.max())) if self else IntervalSet()
-
     def complement(self, universe_lo: int, universe_hi: int) -> "IntervalSet":
         """Everything in [universe_lo, universe_hi] not in this set."""
         out = IntervalSet()

@@ -2,7 +2,7 @@
 
 Covers the :mod:`repro.runtime.incremental` layer end to end — the
 coordinate-shift primitives with their guard rails, lexical damage
-windows (token splits, merges, appends), the lookahead high-water
+windows (token splits, merges, appends), the lookahead-reach
 invalidation that keeps reuse sound, edits inside error-recovered
 regions, transactional failure behavior, the edit-session CLI protocol,
 grafting over a streaming stream, and the lazy decision classification
@@ -17,7 +17,7 @@ import pytest
 import repro
 from repro.analysis.decisions import DecisionRecord, FIXED
 from repro.exceptions import LexerError, RecognitionError
-from repro.runtime.incremental import EditSession, ReuseTable
+from repro.runtime.incremental import EditSession
 from repro.runtime.parser import LLStarParser, ParserOptions
 from repro.runtime.telemetry import ParseTelemetry
 from repro.runtime.token import Token
@@ -206,19 +206,6 @@ class TestReuse:
         assert_matches_cold(host, s)
         assert s.stats.reused_tokens >= s.stats.total_tokens - 12
 
-    def test_reuse_table_outermost_wins_and_pops(self):
-        table = ReuseTable()
-        outer = RuleNode("r")
-        outer.start, outer.stop = 0, 9
-        inner = RuleNode("r")
-        inner.start, inner.stop = 0, 4
-        table.add(outer)
-        table.add(inner)  # same key: outermost kept
-        assert len(table) == 1
-        assert table.take("r", 0) is outer
-        assert table.take("r", 0) is None  # popped on hit
-        assert table.hits == 1 and table.reused_tokens == 10
-
     def test_lookahead_past_subtree_blocks_stale_reuse(self):
         # x's prediction must examine the token *after* the 'u's to pick
         # an alternative, so a later edit to that token invalidates the
@@ -362,23 +349,21 @@ class TestStreamingGraft:
         # First parse (reuse tracking on) produces a reusable tree.
         stream = host.tokenize(TEXT)
         parser = LLStarParser(host.analysis, stream,
-                              ParserOptions(recover=True, reuse=ReuseTable()))
+                              ParserOptions(recover=True, reuse={}))
         tree = parser.parse()
         stmts = [c for c in tree.children
                  if isinstance(c, RuleNode) and c.look_stop >= 0]
         assert stmts, "expected reusable statement subtrees"
-        table = ReuseTable()
-        for stmt in stmts:
-            table.add(stmt)
+        seeds = {(stmt.rule_name, stmt.start): stmt for stmt in stmts}
 
         # Second parse over a *streaming* stream grafts them: the
         # forward seek past the materialisation frontier must fill in.
         feed = iter(host.lexer_spec.tokenize(TEXT, include_hidden=True))
         streaming = StreamingTokenStream(feed, source=TEXT)
         parser2 = LLStarParser(host.analysis, streaming,
-                               ParserOptions(recover=True, reuse=table))
+                               ParserOptions(recover=True, reuse=seeds))
         tree2 = parser2.parse()
-        assert table.hits == len(stmts)
+        assert parser2.reused_nodes == len(stmts)
         ref = cold(host, TEXT)
         assert tree2.to_spanned_sexpr() == ref.to_spanned_sexpr()
 

@@ -10,7 +10,6 @@ from repro.exceptions import (
     MismatchedTokenError,
     NoViableAltError,
 )
-from repro.runtime.errors import SingleTokenDeletionStrategy
 from repro.runtime.parser import ParserOptions
 from repro.runtime.telemetry import ParseTelemetry, TraceTelemetry
 from repro.runtime.trees import RuleNode, TokenNode, TreeVisitor
@@ -85,10 +84,12 @@ class TestErrorReportingDepth:
         assert info.value.index == 5
 
     def test_single_token_deletion_recovery(self, simple):
-        opts = ParserOptions(error_strategy=SingleTokenDeletionStrategy())
+        opts = ParserOptions(recover=True)
         parser = simple.parser("x = = 7 ;", options=opts)
         tree = parser.parse()
         assert tree is not None
+        assert tree.to_spanned_sexpr() == \
+            "(s[0:4] x@0 =@1 (<error>[2:2] =) 7@3 ;@4)"
         assert len(parser.errors) == 1
 
 
