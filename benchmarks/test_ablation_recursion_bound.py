@@ -41,11 +41,10 @@ def test_recursion_bound_sweep(benchmark):
     backtracked_inputs = {}
     for m in (1, 2, 4, 8):
         host = compile_grammar(FIG2, options=AnalysisOptions(max_recursion_depth=m))
-        dfa = host.analysis.dfa_for(0)
-        dfa_sizes[m] = len(dfa.states)
+        dfa_sizes[m] = host.analysis.records[0].table.n_states
         hit = [s for s in INPUTS if backtrack_percent(host, s) > 0]
         backtracked_inputs[m] = len(hit)
-        rows.append((m, len(dfa.states),
+        rows.append((m, dfa_sizes[m],
                      "%d/%d" % (len(hit), len(INPUTS)),
                      ", ".join(hit) or "none"))
 

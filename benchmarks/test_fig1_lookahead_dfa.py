@@ -24,34 +24,37 @@ WS : [ \t\r\n]+ -> skip ;
 """
 
 
-def _edges(state, grammar):
+def _edges(table, state, grammar):
+    """Token name -> target state of one state's row in the table."""
+    row = slice(table.edge_index[state], table.edge_index[state + 1])
     return {grammar.vocabulary.name_of(t): target
-            for t, target in state.edges.items()}
+            for t, target in zip(table.edge_keys[row], table.edge_targets[row])}
 
 
 def test_figure1_dfa(benchmark):
     result = benchmark(lambda: analyze(parse_grammar(FIG1)))
     grammar = result.grammar
     record = result.records[0]
-    dfa = record.dfa
+    table = record.table
+    alt = table.accept_alt
 
     # (a) minimum lookahead: 'int' predicts alternative 3 immediately
-    d0 = dfa.start
-    assert _edges(d0, grammar)["'int'"].predicted_alt == 3
+    d0 = table.start
+    assert alt[_edges(table, d0, grammar)["'int'"]] == 3
 
     # (b) after ID, one more token separates alternatives 1, 2, 4
-    d1 = _edges(d0, grammar)["ID"]
-    assert _edges(d1, grammar)["EOF"].predicted_alt == 1
-    assert _edges(d1, grammar)["'='"].predicted_alt == 2
-    assert _edges(d1, grammar)["ID"].predicted_alt == 4
+    d1 = _edges(table, d0, grammar)["ID"]
+    assert alt[_edges(table, d1, grammar)["EOF"]] == 1
+    assert alt[_edges(table, d1, grammar)["'='"]] == 2
+    assert alt[_edges(table, d1, grammar)["ID"]] == 4
 
     # (c) the cyclic 'unsigned'* scan
-    d2 = _edges(d0, grammar)["'unsigned'"]
-    assert _edges(d2, grammar)["'unsigned'"] is d2
-    assert _edges(d2, grammar)["'int'"].predicted_alt == 3
-    assert _edges(d2, grammar)["ID"].predicted_alt == 4
+    d2 = _edges(table, d0, grammar)["'unsigned'"]
+    assert _edges(table, d2, grammar)["'unsigned'"] == d2
+    assert alt[_edges(table, d2, grammar)["'int'"]] == 3
+    assert alt[_edges(table, d2, grammar)["ID"]] == 4
     assert record.category == CYCLIC
-    assert not dfa.uses_backtracking()
+    assert not table.uses_backtracking()
 
     rows = [
         ("alt predicted on 'int' at k=1", 3),
@@ -59,9 +62,9 @@ def test_figure1_dfa(benchmark):
         ("alt predicted on ID '='", 2),
         ("alt predicted on ID ID", 4),
         ("'unsigned' state self-loops", "yes"),
-        ("DFA states", len(dfa.states)),
+        ("DFA states", table.n_states),
         ("category", record.category),
     ]
     emit_table("fig1", "Figure 1: lookahead DFA for rule s", ("property", "value"), rows)
     emit_table("fig1_dot", "Figure 1 DFA (graphviz)", ("dot",),
-               [(line,) for line in dfa_to_dot(dfa, grammar.vocabulary).splitlines()])
+               [(line,) for line in dfa_to_dot(table, grammar.vocabulary).splitlines()])

@@ -27,9 +27,17 @@ WS : [ ]+ -> skip ;
 """
 
 
-def _edges(state, grammar):
+def _edges(table, state, grammar):
+    """Token name -> target state of one state's row in the table."""
+    row = slice(table.edge_index[state], table.edge_index[state + 1])
     return {grammar.vocabulary.name_of(t): target
-            for t, target in state.edges.items()}
+            for t, target in zip(table.edge_keys[row], table.edge_targets[row])}
+
+
+def _gates(table, state):
+    """Pool indices of one state's predicate edges, in evaluation order
+    (-1 is the ordered-choice default)."""
+    return table.pred_ctx[table.pred_index[state]:table.pred_index[state + 1]]
 
 
 def test_figure2_dfa(benchmark):
@@ -37,17 +45,19 @@ def test_figure2_dfa(benchmark):
     result = benchmark(lambda: analyze(parse_grammar(FIG2), options))
     grammar = result.grammar
     record = result.records[0]
-    dfa = record.dfa
+    table = record.table
+    alt = table.accept_alt
     assert record.category == BACKTRACK
 
-    d0 = dfa.start
-    assert _edges(d0, grammar)["ID"].predicted_alt == 1  # x -> alt 1, k=1
-    assert _edges(d0, grammar)["INT"].predicted_alt == 2  # 1 -> alt 2, k=1
-    d1 = _edges(d0, grammar)["'-'"]
-    assert not d1.predicate_edges  # one '-' still deterministic
-    d2 = _edges(d1, grammar)["'-'"]
-    assert d2.predicate_edges  # '--' fails over to backtracking
-    assert d2.predicate_edges[0][0].contains_synpred
+    d0 = table.start
+    assert alt[_edges(table, d0, grammar)["ID"]] == 1  # x -> alt 1, k=1
+    assert alt[_edges(table, d0, grammar)["INT"]] == 2  # 1 -> alt 2, k=1
+    d1 = _edges(table, d0, grammar)["'-'"]
+    assert not _gates(table, d1)  # one '-' still deterministic
+    d2 = _edges(table, d1, grammar)["'-'"]
+    gates = _gates(table, d2)
+    assert gates  # '--' fails over to backtracking
+    assert gates[0] >= 0 and table.pool.synpred_flags[gates[0]]
 
     # Runtime confirmation: '-x' never backtracks, '--x' does.
     host = compile_grammar(FIG2, options=options)

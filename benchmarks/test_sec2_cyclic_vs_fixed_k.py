@@ -30,7 +30,7 @@ def test_cyclic_dfa_vs_fixed_k(benchmark):
     result = benchmark(lambda: analyze(parse_grammar(SEC2)))
     record = result.records[0]
     assert record.category == CYCLIC
-    dfa_states = len(record.dfa.states)
+    dfa_states = record.table.n_states
     assert dfa_states <= 5
 
     fk = FixedKAnalyzer(result.atn, start_rule="a")

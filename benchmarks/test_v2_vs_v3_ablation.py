@@ -39,7 +39,7 @@ def test_v2_vs_v3(suite, paper_names, benchmark):
         llstar_solved = res.count(FIXED) + res.count(CYCLIC)
         exact_solved = classify_with_fixed_k(host, exact=True)
         approx_solved = classify_with_fixed_k(host, exact=False)
-        gave_up = sum(1 for r in res.records if r.dfa.fell_back_to_ll1)
+        gave_up = sum(1 for r in res.records if r.table.fell_back_to_ll1)
         rows.append((paper_names[name], total,
                      approx_solved, exact_solved, llstar_solved,
                      res.count(BACKTRACK), gave_up))

@@ -43,8 +43,8 @@ def write(name, text):
 
 def main():
     host1 = repro.compile_grammar(FIG1)
-    dfa1 = host1.analysis.dfa_for(0)
-    write("fig1_dfa.dot", dfa_to_dot(dfa1, host1.grammar.vocabulary))
+    table1 = host1.analysis.records[0].table
+    write("fig1_dfa.dot", dfa_to_dot(table1, host1.grammar.vocabulary))
     write("fig1_atn.dot", atn_to_dot(host1.analysis.atn, rule_name="s",
                                      vocabulary=host1.grammar.vocabulary))
     print()
@@ -55,8 +55,8 @@ def main():
     print()
 
     host2 = repro.compile_grammar(FIG2, options=AnalysisOptions(max_recursion_depth=1))
-    dfa2 = host2.analysis.dfa_for(0)
-    write("fig2_dfa.dot", dfa_to_dot(dfa2, host2.grammar.vocabulary))
+    table2 = host2.analysis.records[0].table
+    write("fig2_dfa.dot", dfa_to_dot(table2, host2.grammar.vocabulary))
     print()
     print("Figure 2 narrative (m=1):")
     print("  on ID or INT -> immediate k=1 decision")

@@ -3,8 +3,9 @@
 ``analyze(grammar)`` is the facade: it erases syntactic predicates,
 builds the ATN, and runs the modified subset construction
 (Algorithms 8-11) over every decision, producing one lookahead DFA per
-decision plus a classification (fixed LL(k) / cyclic / backtracking)
-and any ambiguity or recursion-overflow diagnostics.
+decision — kept as its flat :class:`~repro.tables.lookahead.DecisionTable`
+— plus a classification (fixed LL(k) / cyclic / backtracking) and any
+ambiguity or recursion-overflow diagnostics.
 """
 
 from repro.analysis.config import ATNConfig, stacks_equivalent

@@ -130,10 +130,11 @@ class DecisionAnalyzer:
         """Drop construction-only state once the decision is done.
 
         Configurations, busy sets, and the dedup table are what subset
-        construction works on; the finished DFA needs only edges,
-        predicate edges, and accept markers (see :meth:`DFAState.to_dict`).
-        Keeping them would pin tens of thousands of configurations per
-        grammar for the life of the host.
+        construction works on; compiling the finished DFA into its table
+        reads only edges, predicate edges, accept markers and the
+        overflow/recursion flags.  Keeping them would pin tens of
+        thousands of configurations per grammar until the DFA is
+        dropped.
         """
         for state in self.dfa.states:
             state.configs = None

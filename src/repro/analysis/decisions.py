@@ -1,8 +1,9 @@
 """Whole-grammar analysis facade and decision classification.
 
 ``analyze(grammar)`` produces an :class:`AnalysisResult`: the ATN, one
-:class:`DecisionRecord` per decision (DFA + classification), and all
-diagnostics.  Classification buckets follow Table 1 of the paper:
+:class:`DecisionRecord` per decision (its flat lookahead table and the
+classification derived from it), and all diagnostics.  Classification
+buckets follow Table 1 of the paper:
 
 * **fixed** — acyclic DFA with no synpred edges: plain LL(k), with the
   record carrying k;
@@ -34,25 +35,21 @@ BACKTRACK = "backtrack"
 
 
 class DecisionRecord:
-    """One decision's analysis outcome.
+    """One decision's analysis outcome: its flat lookahead
+    :class:`DecisionTable` (the form the parser, cache, codegen and tools
+    share) and the Table 1 bucket derived from that table's shape.
 
-    The record holds *two* faces of the same lookahead machine: the
-    object-graph :class:`DFA` (the analysis-time representation the
-    DecisionAnalyzer builds and the diagnostics/tools walk) and the flat
-    :class:`DecisionTable` (the execution core the parser, cache, and
-    codegen share).  Either side can be absent and is derived from the
-    other on demand — ``compile_decision_table`` going one way,
-    ``DecisionTable.to_dfa`` (lossless) going back — so assigning
-    :attr:`dfa` always invalidates the table and vice versa.
+    ``table`` is None only while the record is *degraded*: its cached
+    form was unusable, and :meth:`AnalysisResult.decision_table` rebuilds
+    it from the ATN on first use.
     """
 
-    def __init__(self, decision: int, rule_name: str, kind: str, dfa: DFA):
+    def __init__(self, decision: int, rule_name: str, kind: str,
+                 table: Optional[DecisionTable]):
         self.decision = decision
         self.rule_name = rule_name
         self.kind = kind  # DecisionKind: rule/block/optional/star/plus
-        self._dfa: Optional[DFA] = dfa
-        self._table: Optional[DecisionTable] = None
-        self._pool: Optional[SemCtxPool] = None
+        self.table = table
         # Classification is lazy (see the ``category`` property): a warm
         # start materialises hundreds of records whose shape most parses
         # never ask about, and classifying a zero-copy table walks its
@@ -60,54 +57,30 @@ class DecisionRecord:
         # start O(decisions) dict work with no page faults.
         self._category: Optional[str] = None
         self._fixed_k: Optional[int] = None
-        #: True when this record carries a placeholder DFA (its cached
-        #: form was unusable); the parser rebuilds the real DFA on first
-        #: use via DecisionAnalyzer and calls :meth:`replace_dfa`.
-        self.degraded = False
 
-    @classmethod
-    def from_table(cls, decision: int, rule_name: str, kind: str,
-                   table: DecisionTable) -> "DecisionRecord":
-        """Warm-start construction straight from a deserialized table;
-        the object-graph DFA is decompiled lazily if anything asks."""
-        record = cls.__new__(cls)
-        record.decision = decision
-        record.rule_name = rule_name
-        record.kind = kind
-        record._dfa = None
-        record._table = table
-        record._pool = table.pool
-        record._category = None  # classified lazily from table shape
-        record._fixed_k = None
-        record.degraded = False
-        return record
-
-    def _shape(self):
-        """Whichever representation exists (both answer the same
-        is_cyclic/fixed_k/uses_backtracking shape queries)."""
-        return self._dfa if self._dfa is not None else self._table
-
-    def _classify(self) -> str:
-        shape = self._shape()
-        if shape.uses_backtracking():
-            return BACKTRACK
-        if shape.is_cyclic():
-            return CYCLIC
-        return FIXED
+    @property
+    def degraded(self) -> bool:
+        """True while the record has no table (see the class docstring)."""
+        return self.table is None
 
     @property
     def category(self) -> str:
-        """Table 1 bucket, derived from the machine's shape on first use
-        (and then sticky — see the :attr:`dfa` setter)."""
-        if self._category is None:
-            self._category = self._classify()
-            if self._category == FIXED:
-                self._fixed_k = self._shape().fixed_k()
-        return self._category
+        """Table 1 bucket, derived from the table's shape on first use.
 
-    @category.setter
-    def category(self, value: str) -> None:
-        self._category = value
+        A degraded record reads as fixed with no k, and is classified
+        from its table once the rebuild installs one."""
+        if self._category is None:
+            table = self.table
+            if table is None:
+                return FIXED
+            if table.uses_backtracking():
+                self._category = BACKTRACK
+            elif table.is_cyclic():
+                self._category = CYCLIC
+            else:
+                self._category = FIXED
+                self._fixed_k = table.fixed_k()
+        return self._category
 
     @property
     def fixed_k(self) -> Optional[int]:
@@ -117,97 +90,9 @@ class DecisionRecord:
             _ = self.category
         return self._fixed_k
 
-    @fixed_k.setter
-    def fixed_k(self, value: Optional[int]) -> None:
-        self._fixed_k = value
-
-    # -- the two representations -------------------------------------------------
-
-    @property
-    def dfa(self) -> Optional[DFA]:
-        if self._dfa is None and self._table is not None:
-            self._dfa = self._table.to_dfa()
-        return self._dfa
-
-    @dfa.setter
-    def dfa(self, dfa: Optional[DFA]) -> None:
-        # Direct assignment (degraded-mode tests, tools) must never leave
-        # a stale table behind; classification is NOT re-derived here,
-        # matching the old plain-attribute semantics — use replace_dfa()
-        # for a rebuild that should reclassify.  An unclassified record
-        # pins the *outgoing* machine's classification first, so lazy
-        # derivation can never silently read the swapped-in machine.
-        if self._category is None and (self._dfa is not None
-                                       or self._table is not None):
-            _ = self.category
-        self._dfa = dfa
-        self._table = None
-
-    @property
-    def table(self) -> Optional[DecisionTable]:
-        """The flat execution table, compiled on first use against the
-        bound pool (or a private one).  None while the record is a
-        degraded shell with no DFA either."""
-        if self._table is None and self._dfa is not None:
-            if self._pool is None:
-                self._pool = SemCtxPool()
-            self._table = compile_decision_table(self._dfa, self._pool)
-        return self._table
-
-    def bind_pool(self, pool: SemCtxPool) -> None:
-        """Intern this record's gates into a shared pool and compile its
-        table.  Called serially in decision order by
-        :class:`AnalysisResult` so pool indices are deterministic no
-        matter how many threads built the DFAs."""
-        self._pool = pool
-        if self._dfa is not None:
-            self._table = compile_decision_table(self._dfa, pool)
-
     @property
     def can_backtrack(self) -> bool:
         return self.category == BACKTRACK
-
-    def replace_dfa(self, dfa: DFA) -> None:
-        """Swap in a freshly built DFA (degraded-mode rebuild at parse
-        time) and re-derive the classification from its shape."""
-        self.dfa = dfa  # property: invalidates the table
-        self.category = self._classify()
-        self.fixed_k = dfa.fixed_k() if self.category == FIXED else None
-        self.degraded = False
-
-    @classmethod
-    def degraded_placeholder(cls, decision: int, rule_name: str, kind: str,
-                             num_alternatives: int) -> "DecisionRecord":
-        """A record whose DFA is an empty shell (``start`` is None); the
-        parser detects it and rebuilds the DFA on first use."""
-        record = cls(decision, rule_name, kind,
-                     DFA(decision, rule_name, num_alternatives))
-        record.degraded = True
-        return record
-
-    def to_dict(self) -> dict:
-        """JSON-safe form; category/fixed_k are derived, not stored.
-
-        The serialized body is the flat table (pool indices resolve
-        against the owning :class:`AnalysisResult`'s shared pool, which
-        serializes alongside the records).
-        """
-        return {
-            "decision": self.decision,
-            "rule_name": self.rule_name,
-            "kind": self.kind,
-            "table": self.table.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict, pool: SemCtxPool,
-                  validate: bool = True) -> "DecisionRecord":
-        # from_table re-classifies from table shape, so a cached record
-        # can never disagree with the machine it carries.
-        return cls.from_table(data["decision"], data["rule_name"],
-                              data["kind"],
-                              DecisionTable.from_dict(data["table"], pool,
-                                                      validate=validate))
 
     def __repr__(self):
         extra = " k=%s" % self.fixed_k if self.fixed_k else ""
@@ -220,32 +105,45 @@ class AnalysisResult:
 
     def __init__(self, grammar: Grammar, atn: ATN, records: List[DecisionRecord],
                  diagnostics: List[AnalysisDiagnostic], elapsed_seconds: float,
-                 pool: Optional[SemCtxPool] = None):
+                 pool: SemCtxPool, options: AnalysisOptions):
         self.grammar = grammar
         self.atn = atn
         self.records = records
         self.diagnostics = diagnostics
         self.elapsed_seconds = elapsed_seconds
-        #: Shared interned-gate pool for every decision table.  Binding
-        #: happens here, serially in decision order, so pool indices (and
-        #: therefore serialized payloads) are bit-identical whether the
-        #: DFAs were analyzed serially or on N threads.
-        self.pool = pool if pool is not None else SemCtxPool()
-        for record in records:
-            if record._pool is not self.pool:
-                record.bind_pool(self.pool)
+        #: Shared interned-gate pool every decision table indexes into.
+        self.pool = pool
+        #: The options the decisions were analysed with, including the
+        #: grammar's ``k`` cap that :meth:`GrammarAnalyzer.prepare_atn`
+        #: folds in; a degraded decision is rebuilt with exactly these.
+        self.options = options
 
     # -- lookups ----------------------------------------------------------------
-
-    def dfa_for(self, decision: int) -> DFA:
-        return self.records[decision].dfa
 
     def record(self, decision: int) -> DecisionRecord:
         return self.records[decision]
 
+    def decision_table(self, decision: int) -> DecisionTable:
+        """``decision``'s table, rebuilding a degraded record first.
+
+        This is the one rebuild routine, shared by the parser (on first
+        use), the tools and serialization: analyse the decision again on
+        the ATN with the options and start rule the grammar was analysed
+        with, compile the DFA into the shared pool, and install the table
+        on the record, which later readers then find in place.
+        """
+        record = self.records[decision]
+        if record.table is None:
+            dfa = DecisionAnalyzer(self.atn, decision,
+                                   start_rule=self.grammar.start_rule,
+                                   options=self.options).create_dfa()
+            record.table = compile_decision_table(dfa, self.pool)
+        return record.table
+
     def table_set(self, lexer=None) -> TableSet:
         """The grammar's complete execution core (see :mod:`repro.tables`)."""
-        return TableSet(self.pool, [r.table for r in self.records], lexer)
+        return TableSet(self.pool, [self.decision_table(r.decision)
+                                    for r in self.records], lexer)
 
     # -- Table 1 / Table 2 style aggregates ----------------------------------------
 
@@ -303,12 +201,15 @@ class AnalysisResult:
 
         Records serialize as flat :class:`DecisionTable` dicts whose
         pool indices resolve against the shared ``pool`` entry; record
-        serialization runs first because compiling a table may intern
-        gates into the pool.
+        serialization runs first because rebuilding a degraded record
+        may intern gates into the pool.
         """
         from repro.tables.tableset import TABLE_FORMAT_VERSION
 
-        records = [r.to_dict() for r in self.records]
+        records = [dict(decision=r.decision, rule_name=r.rule_name,
+                        kind=r.kind,
+                        table=self.decision_table(r.decision).to_dict())
+                   for r in self.records]
         return {
             "grammar_name": self.grammar.name,
             "elapsed_seconds": self.elapsed_seconds,
@@ -320,18 +221,22 @@ class AnalysisResult:
 
     @classmethod
     def from_dict(cls, grammar: Grammar, atn: ATN, data: dict,
-                  validate: bool = True) -> "AnalysisResult":
+                  validate: bool = True,
+                  options: Optional[AnalysisOptions] = None
+                  ) -> "AnalysisResult":
         """Rebuild a result against a freshly prepared ``grammar``/``atn``
-        (see :meth:`GrammarAnalyzer.prepare_atn`).
+        (see :meth:`GrammarAnalyzer.prepare_atn`, whose effective
+        ``options`` belong here too: a degraded record is rebuilt with
+        them).
 
         Deserialization is salvaged per decision: a record whose stored
-        form is unusable (a table that does not rebuild, or that belongs
-        to another decision) becomes a degraded placeholder plus a
-        ``degraded`` diagnostic, instead of sinking the whole warm start;
-        the parser rebuilds such DFAs on first use.  Payload-level
-        inconsistencies (wrong decision count, missing keys) still raise
-        — those mean the entry belongs to a different grammar, not a
-        damaged copy of this one.
+        form is unusable (a table that does not load, has no start state,
+        or belongs to another decision) becomes a degraded record with no
+        table plus a ``degraded`` diagnostic, instead of sinking the whole
+        warm start; :meth:`decision_table` rebuilds it on first use.
+        Payload-level inconsistencies (wrong decision count, missing
+        keys) still raise — those mean the entry belongs to a different
+        grammar, not a damaged copy of this one.
 
         ``validate=False`` (checksummed ``.llt`` images only) skips the
         per-table structural sweep and keeps array rows zero-copy.
@@ -353,19 +258,25 @@ class AnalysisResult:
                        for dd in data["diagnostics"]]
         for info, rd in zip(atn.decisions, data["records"]):
             try:
-                record = DecisionRecord.from_dict(rd, pool, validate=validate)
-                if (record.decision != info.decision
-                        or record.rule_name != info.rule_name):
+                decision, rule_name, kind = (rd["decision"], rd["rule_name"],
+                                             rd["kind"])
+                table = DecisionTable.from_dict(rd["table"], pool,
+                                                validate=validate)
+                if decision != info.decision or rule_name != info.rule_name:
                     raise ValueError("record does not match its decision")
+                if table.start < 0:
+                    raise ValueError("table has no start state")
             except Exception as e:
-                record = DecisionRecord.degraded_placeholder(
-                    info.decision, info.rule_name, info.kind,
-                    info.num_alternatives)
+                kind, table = info.kind, None
                 diagnostics.append(AnalysisDiagnostic.degraded(
                     info.decision, "cached record unusable (%s)" % e))
-            records.append(record)
+            # A loaded record is classified lazily from its table's
+            # shape, so it can never disagree with the machine it carries.
+            records.append(DecisionRecord(info.decision, info.rule_name,
+                                          kind, table))
         return cls(grammar, atn, records, diagnostics,
-                   data["elapsed_seconds"], pool=pool)
+                   data["elapsed_seconds"], pool,
+                   options if options is not None else AnalysisOptions())
 
     def __repr__(self):
         return "AnalysisResult(%s: %d decisions, %d diagnostics)" % (
@@ -409,42 +320,49 @@ class GrammarAnalyzer:
         if parallel is not None and parallel > 1 and len(atn.decisions) > 1:
             outcomes = self._analyze_parallel(atn, start_rule, parallel)
         else:
-            outcomes = [self._analyze_decision(atn, info.decision, start_rule)
-                        for info in atn.decisions]
+            # Lazily, so each DFA is compiled and dropped before the next
+            # decision's construction starts.
+            outcomes = (self._analyze_decision(atn, info.decision, start_rule)
+                        for info in atn.decisions)
+        pool = SemCtxPool()
         records: List[DecisionRecord] = []
         diagnostics: List[AnalysisDiagnostic] = []
-        for record, decision_diags in outcomes:
-            records.append(record)
+        for info, (dfa, decision_diags) in zip(atn.decisions, outcomes):
+            # Compiled serially in decision order, so pool indices (and
+            # therefore serialized payloads) are bit-identical whether the
+            # DFAs were built serially or on N threads.
+            table = compile_decision_table(dfa, pool)
             diagnostics.extend(decision_diags)
+            dead = table.unreachable_alts()
+            if dead and not table.fell_back_to_ll1:
+                diagnostics.append(AnalysisDiagnostic.dead_alternative(
+                    info.decision, dead))
+            records.append(DecisionRecord(info.decision, info.rule_name,
+                                          info.kind, table))
         elapsed = time.perf_counter() - started
-        return AnalysisResult(self.grammar, atn, records, diagnostics, elapsed)
+        return AnalysisResult(self.grammar, atn, records, diagnostics, elapsed,
+                              pool, self.options)
 
     def _analyze_decision(
             self, atn: ATN, decision: int, start_rule: Optional[str],
-    ) -> Tuple[DecisionRecord, List[AnalysisDiagnostic]]:
-        """One decision's full analysis: DFA plus its diagnostics, in the
-        order the serial loop would have emitted them."""
-        info = atn.decisions[decision]
+    ) -> Tuple[DFA, List[AnalysisDiagnostic]]:
+        """One decision's subset construction: its DFA and the
+        diagnostics construction emitted, in emission order."""
         analyzer = DecisionAnalyzer(atn, decision, start_rule=start_rule,
                                     options=self.options)
-        dfa = analyzer.create_dfa()
-        diagnostics = list(analyzer.diagnostics)
-        dead = dfa.unreachable_alts()
-        if dead and not dfa.fell_back_to_ll1:
-            diagnostics.append(AnalysisDiagnostic.dead_alternative(decision, dead))
-        record = DecisionRecord(decision, info.rule_name, info.kind, dfa)
-        return record, diagnostics
+        return analyzer.create_dfa(), analyzer.diagnostics
 
     def _analyze_parallel(self, atn: ATN, start_rule: Optional[str],
-                          parallel: int) -> List[Tuple[DecisionRecord,
+                          parallel: int) -> List[Tuple[DFA,
                                                        List[AnalysisDiagnostic]]]:
         """Analyze independent decisions concurrently.
 
         Each :class:`DecisionAnalyzer` owns all the state it mutates and
         only reads the shared ATN/grammar, so threads need no locking;
-        results are collected in decision order, making records and
-        diagnostics bit-for-bit identical to the serial loop regardless
-        of scheduling.  On GIL builds the speedup for this pure-Python
+        results are collected in decision order (and compiled into tables
+        by the caller in that order), making records and diagnostics
+        bit-for-bit identical to the serial loop regardless of
+        scheduling.  On GIL builds the speedup for this pure-Python
         workload is modest; free-threaded interpreters scale with N.
         """
         from concurrent.futures import ThreadPoolExecutor

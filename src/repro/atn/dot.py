@@ -73,22 +73,30 @@ def atn_to_dot(atn, rule_name: Optional[str] = None, vocabulary=None) -> str:
     return "\n".join(lines)
 
 
-def dfa_to_dot(dfa, vocabulary=None) -> str:
-    """Render a lookahead DFA in the style of the paper's Figure 1."""
+def dfa_to_dot(table, vocabulary=None) -> str:
+    """Render a decision's lookahead DFA, given as its
+    :class:`~repro.tables.lookahead.DecisionTable`, in the style of the
+    paper's Figure 1: token edges in sorted order, then predicate edges
+    in evaluation order."""
     lines = ["digraph DFA {", "  rankdir=LR;", '  node [shape=circle, fontsize=10];']
-    for state in dfa.states:
-        if state.is_accept:
-            lines.append('  D%d [label="%s=>%d", shape=doublecircle];'
-                         % (state.id, "D%d" % state.id, state.predicted_alt))
+    for s in range(table.n_states):
+        alt = table.accept_alt[s]
+        if alt:
+            lines.append('  D%d [label="D%d=>%d", shape=doublecircle];' % (s, s, alt))
         else:
-            lines.append('  D%d [label="D%d"];' % (state.id, state.id))
-    for state in dfa.states:
-        for token_type, target in sorted(state.edges.items()):
+            lines.append('  D%d [label="D%d"];' % (s, s))
+    contexts = table.pool.contexts
+    for s in range(table.n_states):
+        for i in range(table.edge_index[s], table.edge_index[s + 1]):
+            token_type = table.edge_keys[i]
             name = vocabulary.name_of(token_type) if vocabulary else str(token_type)
-            lines.append('  D%d -> D%d [label="%s"];' % (state.id, target.id, _esc(name)))
-        for pred, alt, target in state.predicate_edges:
-            label = repr(pred) if pred is not None else "default=>%d" % alt
+            lines.append('  D%d -> D%d [label="%s"];'
+                         % (s, table.edge_targets[i], _esc(name)))
+        for i in range(table.pred_index[s], table.pred_index[s + 1]):
+            ctx = table.pred_ctx[i]
+            label = (repr(contexts[ctx]) if ctx >= 0
+                     else "default=>%d" % table.pred_alt[i])
             lines.append('  D%d -> D%d [label="%s", color=blue];'
-                         % (state.id, target.id, _esc(label)))
+                         % (s, table.pred_target[i], _esc(label)))
     lines.append("}")
     return "\n".join(lines)

@@ -9,11 +9,11 @@ strings, so it round-trips losslessly through a JSON-safe dict.
 
 The stored form *is* the flat execution core (:mod:`repro.tables`):
 decision tables plus the shared semantic-context pool, and the lexer DFA
-as a flat :class:`~repro.tables.lexer.LexerTable`.  The store writes the
-dict :func:`artifact_to_dict` builds as a checksummed ``.llt`` image
+as a flat :class:`~repro.tables.lexer.LexerTable` — the only form either
+automaton has after analysis.  The store writes the dict
+:func:`artifact_to_dict` builds as a checksummed ``.llt`` image
 (:mod:`repro.cache.binary`), and a warm start grafts the image's arrays
-straight into the tables the parser and tokenizer execute — no
-object-graph DFA is ever rebuilt unless a tool asks for one.
+straight into the tables the parser, tokenizer and tools read.
 
 What is *not* stored: the grammar object and the ATN.  Both are cheap to
 re-derive from the grammar text the image carries (parse + transforms +
@@ -100,9 +100,10 @@ def analysis_from_artifact(grammar: Grammar, payload: dict,
                          % (payload.get("grammar_name"), grammar.name))
     if payload.get("vocabulary_max_type") != grammar.vocabulary.max_type:
         raise ValueError("cache entry vocabulary does not match grammar")
-    atn = GrammarAnalyzer(grammar, options).prepare_atn()
+    analyzer = GrammarAnalyzer(grammar, options)
+    atn = analyzer.prepare_atn()
     return AnalysisResult.from_dict(grammar, atn, payload["analysis"],
-                                    validate=False)
+                                    validate=False, options=analyzer.options)
 
 
 def lexer_from_artifact(grammar: Grammar,
@@ -111,7 +112,5 @@ def lexer_from_artifact(grammar: Grammar,
     grammars); the vocabulary comes from the freshly parsed grammar."""
     if payload.get("lexer") is None:
         return None
-    table = LexerTable.from_dict(payload["lexer"], validate=False)
-    # No eager to_lexer_dfa(): the object-model DFA is rebuilt lazily only
-    # if a tool asks, so mmap-backed tables stay zero-copy end to end.
-    return LexerSpec(None, grammar.vocabulary, table=table)
+    return LexerSpec(LexerTable.from_dict(payload["lexer"], validate=False),
+                     grammar.vocabulary)

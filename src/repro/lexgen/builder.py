@@ -13,24 +13,27 @@ from typing import Set, Tuple
 from repro.exceptions import GrammarError
 from repro.grammar import ast
 from repro.grammar.model import Grammar, Rule
-from repro.lexgen.dfa import build_lexer_dfa
+from repro.lexgen.dfa import LexerDFA, build_lexer_dfa
 from repro.lexgen.lexer import LexerSpec
 from repro.lexgen.nfa import MAX_CODEPOINT, NFA, NFAState
+from repro.tables.lexer import compile_lexer_table
 from repro.util.intervals import IntervalSet
 
 
 def build_lexer(grammar: Grammar, minimize: bool = True) -> LexerSpec:
-    """Build the lexer spec (DFA + vocabulary bindings) for a grammar.
+    """Build the lexer spec (flat table + vocabulary bindings) for a grammar.
 
     ``minimize`` runs Moore partition refinement on the subset-construction
-    DFA; tokenization is unchanged, the tables just get smaller.
+    DFA; tokenization is unchanged, the tables just get smaller.  The
+    object-graph DFA is compiled once into a
+    :class:`~repro.tables.lexer.LexerTable` and dropped.
     """
-    spec = _LexerBuilder(grammar).build()
+    dfa = _LexerBuilder(grammar).build()
     if minimize:
         from repro.lexgen.minimize import minimize_lexer_dfa
 
-        spec.dfa = minimize_lexer_dfa(spec.dfa)
-    return spec
+        dfa = minimize_lexer_dfa(dfa)
+    return LexerSpec(compile_lexer_table(dfa), grammar.vocabulary)
 
 
 class _LexerBuilder:
@@ -39,7 +42,8 @@ class _LexerBuilder:
         self.nfa = NFA()
         self._building: Set[str] = set()  # fragment-recursion guard
 
-    def build(self) -> LexerSpec:
+    def build(self) -> LexerDFA:
+        """Thompson-construct the NFA, then subset-construct its DFA."""
         start = self.nfa.new_state()
         self.nfa.start = start
         priority = 0
@@ -62,8 +66,7 @@ class _LexerBuilder:
             start.add_edge(None, frag_start)
             priority += 1
 
-        dfa = build_lexer_dfa(self.nfa)
-        return LexerSpec(dfa, self.grammar.vocabulary)
+        return build_lexer_dfa(self.nfa)
 
     # -- Thompson construction ------------------------------------------------
 

@@ -2,12 +2,12 @@
 
 Edges are keyed by disjoint character intervals rather than single
 characters so the DFA stays tiny even with full-Unicode complements.
-Runtime lookup is a binary search over each state's sorted interval
-edges, using the same sorted-range encoding (parallel ``los`` / ``his``
-/ ``targets`` int arrays + bisect) as the flat execution tables in
-:mod:`repro.tables` — the previous encoding bisected a list of
-``(lo, hi)`` tuples, allocating a probe tuple and comparing tuples on
-every character.
+Each state keeps its edges as parallel ``los`` / ``his`` / ``targets``
+int arrays sorted by ``lo`` — already the row layout of the flat
+:class:`~repro.tables.lexer.LexerTable`.  The object graph is
+construction scratch: :func:`~repro.lexgen.builder.build_lexer` builds
+it here, minimizes it, compiles it into that table and drops it; the
+tokenizer, the cache and every later reader use the table.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro.lexgen.nfa import NFA, NFAState
-from repro.tables.ranges import find_interval_index
 
 
 class LexerDFAState:
@@ -35,11 +34,6 @@ class LexerDFAState:
         self.targets: List[int] = []
         self.accept: Optional[Tuple[int, str, tuple]] = None
 
-    @property
-    def ivals(self) -> List[Tuple[int, int]]:
-        """The interval list view ``[(lo, hi), ...]`` (diagnostics)."""
-        return list(zip(self.los, self.his))
-
     def add_edge(self, lo: int, hi: int, target: int) -> None:
         """Append one interval edge (caller keeps them sorted/disjoint,
         or calls :meth:`sort_edges` once after building)."""
@@ -53,20 +47,6 @@ class LexerDFAState:
         self.his = [self.his[k] for k in order]
         self.targets = [self.targets[k] for k in order]
 
-    def next_state(self, codepoint: int) -> int:
-        """Target state id for a character, or -1 (stuck)."""
-        i = find_interval_index(self.los, self.his, codepoint, 0, len(self.los))
-        return self.targets[i] if i >= 0 else -1
-
-    def to_dict(self) -> dict:
-        """JSON-safe form (diagnostics and round-trip tests)."""
-        return {
-            "ivals": [[lo, hi] for lo, hi in zip(self.los, self.his)],
-            "targets": list(self.targets),
-            "accept": ([self.accept[0], self.accept[1], list(self.accept[2])]
-                       if self.accept is not None else None),
-        }
-
     def __repr__(self):
         acc = "!" + self.accept[1] if self.accept else ""
         return "L%d%s" % (self.id, acc)
@@ -76,16 +56,6 @@ class LexerDFA:
     def __init__(self):
         self.states: List[LexerDFAState] = []
         self.start_id = 0
-
-    def state(self, i: int) -> LexerDFAState:
-        return self.states[i]
-
-    def to_dict(self) -> dict:
-        """Deterministic JSON-safe form (states in id order)."""
-        return {
-            "start_id": self.start_id,
-            "states": [s.to_dict() for s in self.states],
-        }
 
     def __repr__(self):
         return "LexerDFA(%d states)" % len(self.states)

@@ -19,56 +19,30 @@ from bisect import bisect_right
 from typing import Iterator, Optional, Tuple
 
 from repro.exceptions import LexerError
-from repro.lexgen.dfa import LexerDFA
 from repro.runtime.char_stream import CharStream
 from repro.runtime.token import DEFAULT_CHANNEL, HIDDEN_CHANNEL, Token, Vocabulary
-from repro.tables.lexer import ASCII_LIMIT, LexerTable, compile_lexer_table
+from repro.tables.lexer import ASCII_LIMIT, LexerTable
 
 #: Channel slot in the accept dispatch marking a ``-> skip`` rule.
 _SKIP_CHANNEL = -1
 
 
 class LexerSpec:
-    """Compiled lexer: DFA plus the vocabulary mapping rule names to types.
-
-    The tokenizer executes the flat :class:`~repro.tables.lexer.LexerTable`
-    form; a cache warm start passes the deserialized ``table`` directly so
-    nothing is recompiled.
+    """Compiled lexer: the flat :class:`~repro.tables.lexer.LexerTable`
+    the tokenizer executes, plus the vocabulary mapping rule names to
+    token types.  A cold compile passes the table :func:`build_lexer`
+    compiled; a cache warm start passes the deserialized one, so nothing
+    is recompiled.
     """
 
-    def __init__(self, dfa: Optional[LexerDFA], vocabulary: Vocabulary,
-                 table: Optional[LexerTable] = None):
-        if dfa is None and table is None:
-            raise ValueError("LexerSpec needs a DFA or a compiled table")
-        self._dfa = dfa
+    def __init__(self, table: LexerTable, vocabulary: Vocabulary):
+        self.table = table
         self.vocabulary = vocabulary
-        self._table = table
         # (token type, channel) per accepts-pool index; channel -1 means
         # the rule is skipped.  Resolved once per spec, so the hot loop
         # does one tuple index per token instead of a method call, a dict
         # probe, and a commands scan.
         self._dispatch: Optional[Tuple[Tuple[int, int], ...]] = None
-
-    @property
-    def dfa(self) -> LexerDFA:
-        """Object-model DFA for diagnostics/tools; warm starts carry only
-        the flat table, so this rebuilds lazily and never runs on the
-        tokenize path."""
-        if self._dfa is None:
-            self._dfa = self._table.to_lexer_dfa()
-        return self._dfa
-
-    @dfa.setter
-    def dfa(self, dfa: LexerDFA) -> None:
-        self._dfa = dfa
-        self._table = None  # stale: recompile from the new DFA on demand
-        self._dispatch = None
-
-    @property
-    def table(self) -> LexerTable:
-        if self._table is None:
-            self._table = compile_lexer_table(self._dfa)
-        return self._table
 
     @property
     def accept_dispatch(self) -> Tuple[Tuple[int, int], ...]:

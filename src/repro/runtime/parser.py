@@ -553,35 +553,25 @@ class LLStarParser(Predictor):
 
     def _decision_table(self, decision: int):
         record = self.analysis.records[decision]
-        table = record.table
-        if table is None or table.start < 0:
-            self._materialize_dfa(decision, record)
-            return record.table, True
-        return table, False
-
-    def _run_synpred(self, name: str) -> None:
-        self._run_rule(self._programs[name], ())
-
-    def _materialize_dfa(self, decision: int, record):
-        """Degraded mode: this decision has no usable lookahead DFA (a
-        corrupted cache entry was salvaged around it) — run the static
-        analysis for just this decision now, graft the result onto the
-        shared record so later parses hit the fast path, and record a
-        structured degradation event instead of failing the parse."""
-        from repro.analysis.construction import AnalysisOptions, DecisionAnalyzer
+        if record.table is not None:
+            return record.table, False
+        # Degraded mode: this decision has no usable table (a damaged
+        # cache entry was salvaged around it).  The analysis rebuilds it
+        # for just this decision and keeps it, so later parses hit the
+        # fast path; the parse records a structured degradation event
+        # instead of failing.
         from repro.runtime.telemetry import DegradationEvent
 
-        analyzer = DecisionAnalyzer(self.atn, decision,
-                                    start_rule=self.grammar.start_rule,
-                                    options=AnalysisOptions())
-        dfa = analyzer.create_dfa()
-        record.replace_dfa(dfa)
+        table = self.analysis.decision_table(decision)
         event = DegradationEvent(decision, record.rule_name,
                                  "decision DFA rebuilt at parse time")
         self.degradations.append(event)
         if self._telemetry is not None:
             self._telemetry.record_degradation(event)
-        return dfa
+        return table, True
+
+    def _run_synpred(self, name: str) -> None:
+        self._run_rule(self._programs[name], ())
 
     # -- embedded host-language code ---------------------------------------------------------
 

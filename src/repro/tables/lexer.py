@@ -9,9 +9,12 @@ character intervals instead of token types:
 * ``accept_idx[s]`` indexes the deduplicated ``accepts`` pool of
   ``(priority, rule_name, commands)`` labels, -1 for non-accept states.
 
-The tokenizer's maximal-munch loop walks these arrays directly;
-:meth:`LexerTable.to_lexer_dfa` reconstructs the object model losslessly
-for diagnostics and the v1-artifact upgrade path.
+The tokenizer's maximal-munch loop walks these arrays directly.  The
+table is the lexer's only form after
+:func:`~repro.lexgen.builder.build_lexer`: :func:`compile_lexer_table`
+flattens the (minimized) subset-construction
+:class:`~repro.lexgen.dfa.LexerDFA` once, and the object graph is
+dropped.
 
 For the ASCII range — which dominates real source corpora — the interval
 bisect per character is replaced by alphabet compression:
@@ -171,24 +174,6 @@ class LexerTable:
             raise ArtifactFormatError("accept index out of range")
         if not (0 <= self.start < n) and n:
             raise ArtifactFormatError("start state out of range")
-
-    def to_lexer_dfa(self):
-        """Rebuild the object-model :class:`~repro.lexgen.dfa.LexerDFA`
-        (bit-identical ``to_dict`` form)."""
-        from repro.lexgen.dfa import LexerDFA, LexerDFAState
-
-        dfa = LexerDFA()
-        dfa.start_id = self.start
-        for s in range(self.n_states):
-            state = LexerDFAState(s)
-            row = slice(self.edge_index[s], self.edge_index[s + 1])
-            state.los = list(self.edge_lo[row])
-            state.his = list(self.edge_hi[row])
-            state.targets = list(self.edge_targets[row])
-            if self.accept_idx[s] >= 0:
-                state.accept = self.accepts[self.accept_idx[s]]
-            dfa.states.append(state)
-        return dfa
 
     def __repr__(self):
         return "LexerTable(%d states, %d ranges)" % (

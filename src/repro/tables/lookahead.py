@@ -1,12 +1,16 @@
 """Dense flat-table form of one decision's lookahead DFA.
 
-A :class:`DecisionTable` is the execution-time twin of
-:class:`repro.analysis.dfa_model.DFA`: the same automaton, flattened
-into parallel int tuples.  The flat arrays are the *stored* form — what
+A :class:`DecisionTable` is the only form a decision's lookahead DFA
+has once analysis is done: :class:`~repro.analysis.construction.DecisionAnalyzer`
+builds an object-graph :class:`~repro.analysis.dfa_model.DFA`,
+:func:`compile_decision_table` flattens it into parallel int tuples, and
+the graph is dropped.  The flat arrays are the *stored* form — what
 the artifact cache serializes and codegen embeds; at prediction time an
 :meth:`~DecisionTable.execution_index` is derived from them once (a
 one-probe fast map for fixed-k=1 decisions plus per-state transition
-dicts), which is what the interpreter and generated parsers walk.
+dicts), which is what the interpreter and generated parsers walk.  The
+shape queries that classify a decision (Tables 1-2) and the tools
+(``llstar analyze --dot``, ``llstar explain``) read the same arrays.
 
 Encoding (states are ``0..n_states-1``, matching DFA state ids):
 
@@ -20,18 +24,14 @@ Encoding (states are ``0..n_states-1``, matching DFA state ids):
   predicate-edge arrays: ``pred_ctx`` (index into the grammar's
   :class:`~repro.tables.pool.SemCtxPool`, or -1 for the default
   ordered-choice edge), ``pred_alt`` (alternative the edge predicts) and
-  ``pred_target`` (target state id, kept only for lossless round trips —
-  prediction returns at the first passing gate).
+  ``pred_target`` (target state id — prediction returns at the first
+  passing gate, but the DOT rendering draws the edge to its accept
+  state).
 
 Analysis metadata the classifier and diagnostics read (overflow flags,
 recursive alternatives, statically resolved alternatives, fallback
 markers) rides along unflattened — it is sparse, cold, and never touched
 during prediction.
-
-The encoding is lossless: :meth:`DecisionTable.to_dfa` reconstructs an
-object-graph DFA whose ``to_dict`` form is bit-identical to the one the
-table was compiled from, which is what lets the artifact cache store
-*only* the flat form.
 """
 
 from __future__ import annotations
@@ -125,10 +125,7 @@ class DecisionTable:
             exec_index = self._exec = (fast, rows)
         return exec_index
 
-    # -- shape queries (classification parity with the object model) ------------
-
-    def successors(self, state: int) -> Tuple[int, ...]:
-        return self.edge_targets[self.edge_index[state]:self.edge_index[state + 1]]
+    # -- shape queries (decision classification, Tables 1-2) ---------------------
 
     def is_cyclic(self) -> bool:
         """True when the token-edge graph reachable from start has a cycle."""
@@ -155,15 +152,20 @@ class DecisionTable:
         return False
 
     def fixed_k(self) -> Optional[int]:
-        """Max token-edge depth from start if acyclic (min 1); None if cyclic."""
+        """Max lookahead depth if acyclic (the k of LL(k)); None if cyclic.
+
+        Depth counts token edges from the start state to the deepest
+        state; an accept reached after consuming j tokens used j tokens
+        of lookahead.  A pure predicate test at the start state is
+        k = 0 in DFA terms but reported as 1 (the parser still peeks).
+        """
         if self.start < 0:
             return None
         if self.is_cyclic():
             return None
         edge_index, edge_targets = self.edge_index, self.edge_targets
         # Iterative post-order over the reachable subgraph, then longest
-        # path by relaxing edges in reverse finish order (same DP as
-        # DFA.fixed_k, so the reported k is identical).
+        # path by relaxing edges in reverse finish order.
         order: List[int] = []
         seen = [False] * self.n_states
         stack: List[Tuple[int, int]] = [(self.start, edge_index[self.start])]
@@ -192,6 +194,7 @@ class DecisionTable:
         return max(best, 1)
 
     def uses_backtracking(self) -> bool:
+        """True when some predicate edge's gate contains a synpred."""
         flags = self.pool.synpred_flags
         return any(c >= 0 and flags[c] for c in self.pred_ctx)
 
@@ -199,11 +202,14 @@ class DecisionTable:
         return len(self.pred_ctx) > 0
 
     def reachable_alts(self) -> set:
+        """Alternatives some accept state or predicate edge can predict."""
         alts = {a for a in self.accept_alt if a > 0}
         alts.update(self.pred_alt)
         return alts
 
     def unreachable_alts(self) -> set:
+        """Dead productions: defined but never predicted (Section 1.1's
+        static detection of dead productions)."""
         return set(range(1, self.num_alternatives + 1)) - self.reachable_alts()
 
     # -- serialization -----------------------------------------------------------
@@ -287,46 +293,6 @@ class DecisionTable:
             raise ArtifactFormatError("context index out of pool range")
         if not (self.start == -1 or 0 <= self.start < n):
             raise ArtifactFormatError("start state out of range")
-
-    # -- lossless decompilation back to the object model -------------------------
-
-    def to_dfa(self) -> DFA:
-        """Rebuild the analysis-time DFA (bit-identical ``to_dict`` form).
-
-        Semantic-context objects are shared with the pool, not copied —
-        gates are immutable once analysis finishes.
-        """
-        dfa = DFA(self.decision, self.rule_name, self.num_alternatives)
-        for _ in range(self.n_states):
-            dfa.new_state()
-        contexts = self.pool.contexts
-        for s in range(self.n_states):
-            state = dfa.states[s]
-            alt = self.accept_alt[s]
-            if alt > 0:
-                state.is_accept = True
-                state.predicted_alt = alt
-            for i in range(self.edge_index[s], self.edge_index[s + 1]):
-                state.edges[self.edge_keys[i]] = dfa.states[self.edge_targets[i]]
-            for i in range(self.pred_index[s], self.pred_index[s + 1]):
-                ctx = contexts[self.pred_ctx[i]] if self.pred_ctx[i] >= 0 else None
-                state.predicate_edges.append(
-                    (ctx, self.pred_alt[i], dfa.states[self.pred_target[i]]))
-        for s in self.overflow_states:
-            dfa.states[s].overflowed = True
-        for s, alts in self.recursive:
-            dfa.states[s].recursive_alts = set(alts)
-        if self.start >= 0:
-            dfa.start = dfa.states[self.start]
-        dfa.statically_resolved_alts = set(self.resolved_alts)
-        dfa.had_overflow = self.had_overflow
-        dfa.fell_back_to_ll1 = self.fell_back_to_ll1
-        dfa.gave_up_reason = self.gave_up_reason
-        return dfa
-
-    def equivalent_to(self, dfa: DFA) -> bool:
-        """Exact representation equivalence against an object-graph DFA."""
-        return self.to_dfa().to_dict() == dfa.to_dict()
 
     def __repr__(self):
         return "DecisionTable(decision %d in %s: %d states, %d edges)" % (

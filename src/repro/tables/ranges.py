@@ -1,34 +1,26 @@
-"""Shared sorted-range lookup helpers for the flat-table encodings.
+"""Sorted-range lookup over the flat lexer table's interval rows.
 
-Every table in :mod:`repro.tables` stores its edges the same way: one
-flat array of sorted keys (token types, or character-range low points)
-plus a parallel target array, with per-state ``[row_start, row_end)``
-ranges carried in a CSR-style index array.  These two helpers are the
-single lookup idiom over that encoding — the lexer DFA walk (tokenizer
-and :meth:`repro.lexgen.dfa.LexerDFAState.next_state`) and table
-validation call (or inline) them, so range-boundary semantics live in
-exactly one place.  Parser decision tables instead derive dict-based
-execution indexes from the same arrays (token alphabets are exact-match,
-not ranges; see :meth:`repro.tables.lookahead.DecisionTable.execution_index`).
+A :class:`~repro.tables.lexer.LexerTable` stores each state's edges as
+one row of sorted, disjoint inclusive codepoint intervals in the
+parallel ``edge_lo`` / ``edge_hi`` arrays, with per-state
+``[row_start, row_end)`` ranges in a CSR-style index array.
+:func:`find_interval_index` is the one lookup over that encoding;
+:meth:`~repro.tables.lexer.LexerTable.next_state` calls it and the
+tokenizer's scan loop inlines the same ``bisect_right`` probe, so the
+range-boundary semantics live in one place.  Parser decision tables
+instead derive dict-based execution indexes from their arrays (token
+alphabets are exact-match, not ranges; see
+:meth:`repro.tables.lookahead.DecisionTable.execution_index`).
 
-Both are thin wrappers over :func:`bisect.bisect_right` on plain int
-arrays: no tuples are built per probe (the old lexer lookup bisected a
-list of ``(lo, hi)`` pairs, allocating a probe tuple and comparing
-tuples on every character).
+The probe is a bisect over plain int arrays: no tuples are built per
+character (the old lexer lookup bisected a list of ``(lo, hi)`` pairs,
+allocating a probe tuple and comparing tuples on every character).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Sequence
-
-
-def find_sorted_key(keys: Sequence[int], key: int, lo: int, hi: int) -> int:
-    """Index of ``key`` within ``keys[lo:hi]`` (sorted, unique), else -1."""
-    i = bisect_left(keys, key, lo, hi)
-    if i < hi and keys[i] == key:
-        return i
-    return -1
 
 
 def find_interval_index(los: Sequence[int], his: Sequence[int], point: int,

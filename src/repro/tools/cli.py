@@ -318,7 +318,8 @@ def cmd_analyze(args) -> int:
         for r in result.records:
             path = os.path.join(args.dot, "decision_%d.dot" % r.decision)
             with open(path, "w") as f:
-                f.write(dfa_to_dot(r.dfa, host.grammar.vocabulary))
+                f.write(dfa_to_dot(result.decision_table(r.decision),
+                                   host.grammar.vocabulary))
         print("\nwrote %d .dot files to %s" % (len(result.records), args.dot))
     return 0
 

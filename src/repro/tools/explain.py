@@ -78,48 +78,56 @@ class PredictionTrace:
 
 
 def explain_prediction(analysis, decision: int, stream: TokenStream) -> PredictionTrace:
-    """Walk the decision's DFA against ``stream`` without consuming it.
+    """Walk the decision's DFA table against ``stream`` without consuming it.
 
-    Predicate edges are *described*, not evaluated (evaluation needs a
-    live parser frame); the trace shows exactly what the parser would
-    test and in which order.
+    A degraded decision is rebuilt first, exactly as the parser would on
+    first use.  Predicate edges are *described*, not evaluated
+    (evaluation needs a live parser frame); the trace shows exactly what
+    the parser would test and in which order.
     """
+    table = analysis.decision_table(decision)
     record = analysis.records[decision]
     vocabulary = analysis.grammar.vocabulary
     trace = PredictionTrace(decision, record.rule_name, record.category)
 
-    state = record.dfa.start
+    _fast, rows = table.execution_index()
+    contexts = table.pool.contexts
+    state = table.start
     offset = 0
     while True:
-        if state.is_accept:
-            trace.predicted_alt = state.predicted_alt
+        alt = table.accept_alt[state]
+        if alt:
+            trace.predicted_alt = alt
             trace.lookahead_used = offset
             trace.steps.append("D%d is an accept state for alternative %d"
-                               % (state.id, state.predicted_alt))
+                               % (state, alt))
             return trace
         token = stream.lt(offset + 1)
         token_name = vocabulary.name_of(token.type)
-        nxt = state.edges.get(token.type)
+        nxt = rows[state].get(token.type)
         if nxt is not None:
             trace.steps.append("D%d --%s (%r)--> D%d"
-                               % (state.id, token_name, token.text, nxt.id))
+                               % (state, token_name, token.text, nxt))
             state = nxt
             offset += 1
             continue
-        if state.predicate_edges:
+        gates = range(table.pred_index[state], table.pred_index[state + 1])
+        if gates:
             trace.stopped_at_predicates = True
             trace.lookahead_used = offset
-            for ctx, alt, _target in state.predicate_edges:
-                if ctx is None:
+            for i in gates:
+                ctx, alt = table.pred_ctx[i], table.pred_alt[i]
+                if ctx < 0:
                     trace.steps.append(
-                        "D%d: default edge -> alternative %d" % (state.id, alt))
+                        "D%d: default edge -> alternative %d" % (state, alt))
                 else:
                     trace.steps.append(
-                        "D%d: if %r -> alternative %d" % (state.id, ctx, alt))
+                        "D%d: if %r -> alternative %d"
+                        % (state, contexts[ctx], alt))
             return trace
         trace.lookahead_used = offset
         trace.steps.append("D%d has no edge on %s (%r)"
-                           % (state.id, token_name, token.text))
+                           % (state, token_name, token.text))
         return trace
 
 

@@ -20,6 +20,7 @@ from repro.analysis import (
 from repro.analysis.config import ATNConfig
 from repro.analysis.diagnostics import AnalysisDiagnostic
 from repro.grammar.meta_parser import parse_grammar
+from tests.dfa_oracle import build_dfa
 
 
 def analyzed(text, **opts):
@@ -50,13 +51,13 @@ class TestFigure1:
 
     def test_min_lookahead_int_predicts_alt3_at_k1(self, result):
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         target = edge_names(d0, g)["'int'"]
         assert target.is_accept and target.predicted_alt == 3
 
     def test_id_needs_second_token(self, result):
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         d1 = edge_names(d0, g)["ID"]
         assert not d1.is_accept
         onward = edge_names(d1, g)
@@ -66,7 +67,7 @@ class TestFigure1:
 
     def test_unsigned_loop_state(self, result):
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         d2 = edge_names(d0, g)["'unsigned'"]
         loop = edge_names(d2, g)
         assert loop["'unsigned'"] is d2  # the cyclic scan
@@ -74,10 +75,10 @@ class TestFigure1:
         assert loop["ID"].predicted_alt == 4
 
     def test_no_backtracking_needed(self, result):
-        assert not result.dfa_for(0).uses_backtracking()
+        assert not result.records[0].table.uses_backtracking()
 
     def test_all_alternatives_reachable(self, result):
-        assert result.dfa_for(0).unreachable_alts() == set()
+        assert result.records[0].table.unreachable_alts() == set()
 
 
 FIG2 = r"""
@@ -100,14 +101,14 @@ class TestFigure2:
 
     def test_k1_paths_stay_deterministic(self, result):
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         assert edge_names(d0, g)["ID"].predicted_alt == 1
         assert edge_names(d0, g)["INT"].predicted_alt == 2
 
     def test_two_minus_then_fail_over(self, result):
         """With m=1, the DFA matches '-' twice before the synpred edge."""
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         d1 = edge_names(d0, g)["'-'"]
         assert not d1.predicate_edges  # still deterministic after one '-'
         d2 = edge_names(d1, g)["'-'"]
@@ -117,12 +118,12 @@ class TestFigure2:
         assert contexts[-1] is None  # ordered-choice default for last alt
 
     def test_overflow_recorded(self, result):
-        assert result.dfa_for(0).had_overflow
+        assert result.records[0].table.had_overflow
 
     def test_larger_m_defers_backtracking(self):
         deeper = analyzed(FIG2, max_recursion_depth=3)
         g = deeper.grammar
-        state = deeper.dfa_for(0).start
+        state = build_dfa(deeper, 0).start
         hops = 0
         while not state.predicate_edges:
             state = edge_names(state, g)["'-'"]
@@ -144,15 +145,15 @@ Y : 'y' ;
 class TestSection2Cyclic:
     def test_cyclic_dfa_stays_small(self):
         result = analyzed(SEC2)
-        dfa = result.dfa_for(0)
+        table = result.records[0].table
         assert result.records[0].category == CYCLIC
-        assert len(dfa.states) <= 5
-        assert not dfa.uses_backtracking()
+        assert table.n_states <= 5
+        assert not table.uses_backtracking()
 
     def test_loop_resolves_on_x_or_y(self):
         result = analyzed(SEC2)
         g = result.grammar
-        d0 = result.dfa_for(0).start
+        d0 = build_dfa(result, 0).start
         d1 = edge_names(d0, g)["AT"]
         assert edge_names(d1, g)["AT"] is d1
         assert edge_names(d1, g)["X"].predicted_alt == 1
@@ -173,8 +174,7 @@ class TestSection5Examples:
         # (Section 5.4: terminate before overflow, fall back).
         result = analyzed(
             "s : a C | a D ; a : A a | B ; A:'a'; B:'b'; C:'c'; D:'d';")
-        dfa = result.dfa_for(0)
-        assert dfa.fell_back_to_ll1
+        assert result.records[0].table.fell_back_to_ll1
         kinds = {d.kind for d in result.diagnostics}
         assert AnalysisDiagnostic.NON_LL_REGULAR in kinds
 
@@ -184,8 +184,7 @@ class TestAmbiguityResolution:
         # Paper example: A -> (a | a) b has conflicting configurations
         # after 'a'; static resolution keeps production 1 and reports it.
         result = analyzed("s : (A | A) B ; A:'a'; B:'b';")
-        dfa = result.dfa_for(0)
-        accepts = dfa.accept_states()
+        accepts = set(result.records[0].table.accept_alt)
         assert 1 in accepts and 2 not in accepts
         assert any(d.kind == AnalysisDiagnostic.AMBIGUITY
                    for d in result.diagnostics)
@@ -195,7 +194,7 @@ class TestAmbiguityResolution:
     def test_predicates_resolve_identical_alternatives(self):
         # A -> {p1}? a | {p2}? a: runtime predicate edges, no warning.
         result = analyzed("s : ({p1}? A | {p2}? A) B ; A:'a'; B:'b';")
-        dfa = result.dfa_for(0)
+        dfa = build_dfa(result, 0)
         pred_states = [s for s in dfa.states if s.predicate_edges]
         assert pred_states
         assert not any(d.kind == AnalysisDiagnostic.AMBIGUITY
@@ -209,7 +208,7 @@ class TestAmbiguityResolution:
                    for d in result.diagnostics)
         # the optional's exit alternative must remain reachable
         opt = next(r for r in result.records if r.kind == "optional")
-        assert opt.dfa.unreachable_alts() == set()
+        assert opt.table.unreachable_alts() == set()
 
     def test_prefix_language_needs_two_tokens(self):
         result = analyzed("s : A | A B ; A:'a'; B:'b';")
@@ -225,8 +224,7 @@ class TestSafetyValves:
         text = ("s : (A|B) (A|B) (A|B) (A|B) X | (A|B) (A|B) (A|B) (A|B) Y ; "
                 "A:'a'; B:'b'; X:'x'; Y:'y';")
         result = analyze(parse_grammar(text), AnalysisOptions(max_dfa_states=3))
-        dfa = result.dfa_for(0)
-        assert dfa.fell_back_to_ll1
+        assert result.records[0].table.fell_back_to_ll1
         assert any(d.kind == AnalysisDiagnostic.STATE_BUDGET
                    for d in result.diagnostics)
 
@@ -273,19 +271,19 @@ def live_configs(atn):
 
 class TestConstructionStateLifetime:
     """Configurations, busy sets, and the dedup table exist only while a
-    decision is being analyzed; a finished DFA keeps none of them."""
+    decision is being analyzed; a compiled grammar keeps none of them."""
 
     def test_compiled_suite_grammar_keeps_no_configurations(self):
         from repro.api import compile_grammar
         from repro.grammars import load
 
         host = compile_grammar(load("rats_c").grammar_text)
-        assert host.analysis.records  # the host (and its DFAs) is alive
+        assert host.analysis.records  # the host (and its tables) is alive
         assert live_configs(host.analysis.atn) == []
 
     def test_ll1_fallback_keeps_no_configurations(self):
         text = ("s : (A|B) (A|B) (A|B) (A|B) X | (A|B) (A|B) (A|B) (A|B) Y ; "
                 "A:'a'; B:'b'; X:'x'; Y:'y';")
         result = analyze(parse_grammar(text), AnalysisOptions(max_dfa_states=3))
-        assert result.dfa_for(0).fell_back_to_ll1
+        assert result.records[0].table.fell_back_to_ll1
         assert live_configs(result.atn) == []

@@ -149,7 +149,7 @@ class TestFixedK:
         assert fk.ll_k_for(0, max_k=7) is None
         # ...while the LL(*) DFA is tiny and cyclic
         assert host2.analysis.records[0].category == "cyclic"
-        assert len(host2.analysis.dfa_for(0).states) <= 5
+        assert host2.analysis.records[0].table.n_states <= 5
 
     def test_exact_tuple_cost_grows_with_k(self):
         host = repro.compile_grammar(

@@ -67,7 +67,7 @@ class TestRoundTrip:
     def test_dfa_states_and_edges_identical(self, pair):
         _, cold, warm = pair
         for rc, rw in zip(cold.analysis.records, warm.analysis.records):
-            assert rc.dfa.to_dict() == rw.dfa.to_dict(), \
+            assert rc.table.to_dict() == rw.table.to_dict(), \
                 "decision %d DFA shape changed across round trip" % rc.decision
 
     def test_classifications_identical(self, pair):
@@ -84,7 +84,7 @@ class TestRoundTrip:
 
     def test_lexer_tables_identical(self, pair):
         _, cold, warm = pair
-        assert cold.lexer_spec.dfa.to_dict() == warm.lexer_spec.dfa.to_dict()
+        assert cold.lexer_spec.table.to_dict() == warm.lexer_spec.table.to_dict()
 
     def test_sample_parse_tree_and_profile_identical(self, pair):
         bench, cold, warm = pair
@@ -156,8 +156,8 @@ class TestPredicatedRoundTrip:
     def test_predicate_edges_round_trip(self, tmp_path):
         cold, warm = self._hosts(tmp_path)
         for rc, rw in zip(cold.analysis.records, warm.analysis.records):
-            assert rc.dfa.to_dict() == rw.dfa.to_dict()
-        assert any(r.dfa.has_predicate_edges() for r in warm.analysis.records)
+            assert rc.table.to_dict() == rw.table.to_dict()
+        assert any(r.table.has_predicate_edges() for r in warm.analysis.records)
 
     def test_predicates_still_evaluate(self, tmp_path):
         cold, warm = self._hosts(tmp_path)

@@ -227,8 +227,8 @@ class TestCorruptionTolerance:
 
 class TestDegradedWarmStart:
     """A structurally valid entry with one rotten record must not sink
-    the warm start: the record degrades (placeholder DFA), the compile
-    warns, and the parser rebuilds the DFA on first use."""
+    the warm start: the record degrades (no table), the compile warns,
+    and the parser rebuilds the table on first use."""
 
     def _seed_and_corrupt_record(self, tmp_path):
         host = repro.compile_grammar(GRAMMAR)
@@ -261,9 +261,39 @@ class TestDegradedWarmStart:
         assert tree is not None
         (event,) = telemetry.events_by_kind("degradation")
         assert event.decision == 0
-        # The rebuilt DFA was grafted back: the record is whole again.
+        # The rebuilt table was installed: the record is whole again.
         assert host.degraded_decisions == []
-        assert host.analysis.records[0].dfa.start is not None
+        assert host.analysis.records[0].table.start >= 0
+
+    def test_serializing_rebuilds_degraded_records(self, tmp_path):
+        self._seed_and_corrupt_record(tmp_path)
+        with pytest.warns(UserWarning):
+            host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
+        cold = repro.compile_grammar(GRAMMAR)
+        # A republished image must carry the real table, not an empty one.
+        assert host.analysis.to_dict()["records"] \
+            == cold.analysis.to_dict()["records"]
+        assert host.degraded_decisions == []
+
+    def test_start_less_table_loads_degraded(self, tmp_path):
+        """An image whose record holds a table with no start state (the
+        empty table a degraded record used to serialize as) loads with
+        that decision degraded, and the parser rebuilds it."""
+        host = repro.compile_grammar(GRAMMAR)
+        payload = artifact_to_dict(host.grammar, host.analysis,
+                                   host.lexer_spec,
+                                   grammar_fingerprint(GRAMMAR))
+        table = payload["analysis"]["records"][0]["table"]
+        table.update(start=-1, n_states=0, edge_index=[0], edge_keys=[],
+                     edge_targets=[], accept_alt=[], pred_index=[0],
+                     pred_ctx=[], pred_alt=[], pred_target=[],
+                     overflow_states=[], recursive=[], resolved_alts=[])
+        assert ArtifactStore(str(tmp_path)).save(
+            artifact_key(GRAMMAR, None, None), payload, GRAMMAR)
+        with pytest.warns(UserWarning, match="partially corrupt"):
+            warm = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
+        assert warm.degraded_decisions == [0]
+        assert warm.parse("a c").to_sexpr() == host.parse("a c").to_sexpr()
 
     def test_degraded_and_cold_hosts_agree(self, tmp_path):
         self._seed_and_corrupt_record(tmp_path)
@@ -272,6 +302,62 @@ class TestDegradedWarmStart:
         cold = repro.compile_grammar(GRAMMAR)
         assert degraded.parse("a b").to_sexpr() == cold.parse("a b").to_sexpr()
         assert degraded.parse("a c").to_sexpr() == cold.parse("a c").to_sexpr()
+
+
+K1_GRAMMAR = """
+    grammar KOne;
+    options { k=1; }
+    s : ID '=' INT | ID ID ;
+    ID : [a-z]+ ;
+    INT : [0-9]+ ;
+    WS : ' ' -> skip ;
+"""
+
+FIG2_GRAMMAR = """
+    grammar Fig2;
+    options { backtrack=true; }
+    t : '-'* ID | expr ;
+    expr : INT | '-' expr ;
+    ID : [a-z]+ ;
+    INT : [0-9]+ ;
+    WS : [ ]+ -> skip ;
+"""
+
+
+class TestDegradedRebuildOptions:
+    """A degraded decision is rebuilt with the options the grammar was
+    analysed with: the grammar's own ``k`` cap and the caller's options.
+    Rebuilt with defaults instead, the host would predict differently
+    from a cold one (and accept input the cold host rejects)."""
+
+    def _warm_with_damaged_record(self, tmp_path, text, options):
+        cold = repro.compile_grammar(text, options=options)
+        payload = artifact_to_dict(cold.grammar, cold.analysis,
+                                   cold.lexer_spec, grammar_fingerprint(text))
+        payload["analysis"]["records"][0]["table"] = {"flipped": "bits"}
+        assert ArtifactStore(str(tmp_path)).save(
+            artifact_key(text, None, options), payload, text)
+        with pytest.warns(UserWarning, match="partially corrupt"):
+            warm = repro.compile_grammar(text, options=options,
+                                         cache_dir=str(tmp_path))
+        assert warm.degraded_decisions == [0]
+        return cold.analysis.records[0], warm
+
+    def test_grammar_k_option_caps_the_rebuild(self, tmp_path):
+        from repro.exceptions import MismatchedTokenError
+
+        cold, warm = self._warm_with_damaged_record(tmp_path, K1_GRAMMAR, None)
+        assert cold.fixed_k == 1
+        assert warm.parse("a = 1") is not None
+        assert warm.analysis.records[0].table.to_dict() == cold.table.to_dict()
+        with pytest.raises(MismatchedTokenError):
+            warm.parse("a b")
+
+    def test_recursion_bound_holds_in_the_rebuild(self, tmp_path):
+        cold, warm = self._warm_with_damaged_record(
+            tmp_path, FIG2_GRAMMAR, AnalysisOptions(max_recursion_depth=1))
+        assert warm.parse("--x") is not None
+        assert warm.analysis.records[0].table.to_dict() == cold.table.to_dict()
 
 
 class TestCacheDiagnostics:

@@ -373,7 +373,7 @@ class TestLazyClassification:
         h = repro.compile_grammar(CALC)
         record = h.analysis.records[0]
         fresh = DecisionRecord(record.decision, record.rule_name,
-                               record.kind, record.dfa)
+                               record.kind, record.table)
         assert fresh._category is None
         assert fresh.category == record.category
         assert fresh._category is not None
@@ -395,29 +395,22 @@ class TestLazyClassification:
     def test_fixed_k_forces_classification(self):
         h = repro.compile_grammar(CALC)
         r = h.analysis.records[0]
-        fresh = DecisionRecord(r.decision, r.rule_name, r.kind, r.dfa)
+        fresh = DecisionRecord(r.decision, r.rule_name, r.kind, r.table)
         k = fresh.fixed_k
         assert fresh._category is not None
         assert (k is not None) == (fresh.category == FIXED)
 
-    def test_dfa_setter_pins_outgoing_classification(self):
-        from repro.analysis.dfa_model import DFA
-
+    def test_rebuilt_record_classifies_from_its_table(self):
         h = repro.compile_grammar(CALC)
         r = h.analysis.records[0]
-        fresh = DecisionRecord(r.decision, r.rule_name, r.kind, r.dfa)
-        assert fresh._category is None
-        # Swapping in a shell DFA must not let lazy classification read
-        # the *new* machine: the old plain-attribute semantics classified
-        # at construction and kept that answer across direct assignment.
-        fresh.dfa = DFA(r.decision, r.rule_name, 2)
-        assert fresh.category == r.category
-        assert fresh.fixed_k == r.fixed_k
-
-    def test_replace_dfa_reclassifies_eagerly(self):
-        h = repro.compile_grammar(CALC)
-        r = h.analysis.records[0]
-        fresh = DecisionRecord(r.decision, r.rule_name, r.kind, r.dfa)
-        fresh.replace_dfa(r.dfa)
-        assert fresh._category == r.category
-        assert fresh._fixed_k == r.fixed_k
+        degraded = DecisionRecord(r.decision, r.rule_name, r.kind, None)
+        h.analysis.records[0] = degraded
+        assert degraded.degraded
+        # Asking a degraded record its category must not pin an answer
+        # the rebuilt table would contradict.
+        _ = degraded.category
+        assert degraded._category is None
+        h.analysis.decision_table(0)
+        assert not degraded.degraded
+        assert degraded.table.to_dict() == r.table.to_dict()
+        assert (degraded.category, degraded.fixed_k) == (r.category, r.fixed_k)

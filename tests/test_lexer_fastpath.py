@@ -62,12 +62,10 @@ class TestSuiteGrammarParity:
                 assert rows[state][class_of[cp]] == table.next_state(state, cp)
 
 
-def wide_range_spec():
-    """A hand-built lexer whose ranges straddle the ASCII limit: ASCII
-    letters, a block crossing 127/128, and a tail running to 0x10FFFF."""
-    vocab = Vocabulary()
-    for rule in ("WORD", "EDGE", "HIGH"):
-        vocab.define(rule)
+def wide_range_dfa():
+    """A hand-built lexer DFA whose ranges straddle the ASCII limit:
+    ASCII letters, a block crossing 127/128, and a tail running to
+    0x10FFFF."""
     dfa = LexerDFA()
     start, word, edge, high = (LexerDFAState(i) for i in range(4))
     start.los = [97, 120, ASCII_LIMIT + 10]
@@ -80,7 +78,14 @@ def wide_range_spec():
     high.accept = (2, "HIGH", ())
     dfa.states = [start, word, edge, high]
     dfa.start_id = 0
-    return LexerSpec(dfa, vocab)
+    return dfa
+
+
+def wide_range_spec():
+    vocab = Vocabulary()
+    for rule in ("WORD", "EDGE", "HIGH"):
+        vocab.define(rule)
+    return LexerSpec(compile_lexer_table(wide_range_dfa()), vocab)
 
 
 class TestBoundaryCodepoints:
@@ -144,5 +149,17 @@ class TestAcceptDispatch:
 
 class TestCompileLexerTableStillExact:
     def test_recompiled_table_equals_stored(self):
-        spec = wide_range_spec()
-        assert compile_lexer_table(spec.dfa).to_dict() == spec.table.to_dict()
+        """Compilation is exact: each state's row is the construction
+        state's intervals, targets and accept label, in order."""
+        dfa = wide_range_dfa()
+        table = wide_range_spec().table
+        assert table.start == dfa.start_id
+        assert table.n_states == len(dfa.states)
+        for state in dfa.states:
+            row = slice(table.edge_index[state.id],
+                        table.edge_index[state.id + 1])
+            assert list(table.edge_lo[row]) == state.los
+            assert list(table.edge_hi[row]) == state.his
+            assert list(table.edge_targets[row]) == state.targets
+            idx = table.accept_idx[state.id]
+            assert (table.accepts[idx] if idx >= 0 else None) == state.accept

@@ -22,7 +22,7 @@ WS : [ ]+ -> skip ;
 
 def specs_for(grammar_text):
     g = parse_grammar(grammar_text)
-    raw = _LexerBuilder(g).build()
+    raw = build_lexer(g, minimize=False)
     minimized = build_lexer(g, minimize=True)
     return raw, minimized
 
@@ -36,13 +36,13 @@ class TestMinimization:
         # After 'a' and after 'c' the futures are identical ('bd'), but
         # subset construction keeps distinct states; minimization merges.
         raw, minimized = specs_for("s : X ; X : ('ab' | 'cb') 'd' ;")
-        assert len(minimized.dfa.states) < len(raw.dfa.states)
+        assert minimized.table.n_states < raw.table.n_states
         for text in ("abd", "cbd"):
             assert tokens_of(raw, text) == tokens_of(minimized, text)
 
     def test_keyword_dfa_not_grown(self):
         raw, minimized = specs_for(KEYWORDY)
-        assert len(minimized.dfa.states) <= len(raw.dfa.states)
+        assert minimized.table.n_states <= raw.table.n_states
 
     def test_tokenization_identical(self):
         raw, minimized = specs_for(KEYWORDY)
@@ -51,7 +51,7 @@ class TestMinimization:
 
     def test_already_minimal_left_alone(self):
         raw, minimized = specs_for("s : A ; A : 'a' ;")
-        assert len(minimized.dfa.states) <= len(raw.dfa.states)
+        assert minimized.table.n_states <= raw.table.n_states
         assert tokens_of(minimized, "aaa") == tokens_of(raw, "aaa")
 
     def test_accept_labels_preserved(self):
@@ -63,8 +63,7 @@ class TestMinimization:
         assert minimized.vocabulary.name_of(tt) == "INT"
 
     def test_idempotent(self):
-        raw, _ = specs_for(KEYWORDY)
-        once = minimize_lexer_dfa(raw.dfa)
+        once = minimize_lexer_dfa(_LexerBuilder(parse_grammar(KEYWORDY)).build())
         twice = minimize_lexer_dfa(once)
         assert len(once.states) == len(twice.states)
 

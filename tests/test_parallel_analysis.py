@@ -23,7 +23,7 @@ def _fresh_grammar(text):
 def _comparable(result):
     return {
         "records": [(r.decision, r.rule_name, r.kind, r.category, r.fixed_k,
-                     r.dfa.to_dict())
+                     r.table.to_dict())
                     for r in result.records],
         "diagnostics": [d.to_dict() for d in result.diagnostics],
     }

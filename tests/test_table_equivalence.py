@@ -1,48 +1,54 @@
-"""Equivalence sweep: flat execution tables vs the object-graph reference.
+"""Equivalence sweep: flat execution tables vs the analyzer's DFAs.
 
-For every grammar in the paper suite this proves the three properties
-the flat-table refactor rests on:
+After analysis a decision keeps only its flat
+:class:`~repro.tables.lookahead.DecisionTable`.  For every grammar in
+the paper suite this proves that the table is the automaton subset
+construction built, using :class:`DecisionAnalyzer`'s own object-graph
+DFA, rebuilt here with the host's analysis options, as the oracle:
 
-1. **Lossless representation** — every decision's compiled
-   :class:`~repro.tables.lookahead.DecisionTable` decompiles to a DFA
-   whose serialized form is bit-identical to the analyzer's original.
-2. **Classification parity** — the shape queries driving decision
-   classification (``is_cyclic`` / ``fixed_k`` / ``uses_backtracking``)
-   answer identically on both representations, so a warm-started record
-   (table only, DFA never materialized) classifies exactly like a
-   cold-compiled one.
+1. **Lossless compilation** — compiling each freshly built DFA
+   reproduces the record's table exactly (``to_dict`` equality), gate
+   pool indices included.
+2. **Rebuild and classification** — a degraded record rebuilt through
+   the one rebuild routine gets the cold table back, and a record made
+   from the stored table alone (the warm-start path) lands in the same
+   category with the same fixed k.
 3. **Prediction parity** — the table-walking parser and
-   :class:`GraphWalkingParser`, a reference oracle that walks the
-   object-graph DFA directly, choose identical alternatives, shown by
-   identical parse trees and decision event counts on the bundled
-   sample and a generated workload.
+   :class:`GraphWalkingParser`, which walks those object-graph DFAs
+   directly, choose identical alternatives, shown by identical parse
+   trees and decision event counts on the bundled sample and a
+   generated workload.
 """
 
 import pytest
 
-from repro.analysis.decisions import DecisionRecord
+from repro.analysis.decisions import AnalysisResult, DecisionRecord
 from repro.exceptions import NoViableAltError
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import LLStarParser, ParserOptions
 from repro.runtime.telemetry import ParseTelemetry
+from repro.tables import DecisionTable, SemCtxPool, compile_decision_table
+from tests.dfa_oracle import build_dfa
 
 
 class GraphWalkingParser(LLStarParser):
-    """Test oracle: Figure-5 prediction over the object-graph DFA.
+    """Test oracle: Figure-5 prediction over object-graph DFAs.
 
-    Follows ``record.dfa`` states and edges directly and tries each
-    state's predicate edges in order, instead of executing the flat
-    table.  Speculation and predicate evaluation are the parser's own;
-    only the walk differs, so any disagreement with
-    :class:`LLStarParser` is a table encoding or table-walk bug.
+    Follows the states and edges of ``dfas`` (one freshly constructed
+    DFA per decision) directly and tries each state's predicate edges in
+    order, instead of executing the flat table.  Speculation and
+    predicate evaluation are the parser's own; only the walk differs, so
+    any disagreement with :class:`LLStarParser` is a table encoding or
+    table-walk bug.
     """
+
+    def __init__(self, analysis, stream, options, dfas):
+        super().__init__(analysis, stream, options)
+        self.dfas = dfas
 
     def _adaptive_predict(self, decision, frame):
         record = self.analysis.records[decision]
-        dfa = record.dfa
-        if dfa is None or dfa.start is None:
-            dfa = self._materialize_dfa(decision, record)
-        state = dfa.start
+        state = self.dfas[decision].start
         offset = 0
         gated = backtracked = False
         backtrack_depth = 0
@@ -89,49 +95,71 @@ def host(bench):
     return bench.compile()
 
 
-class TestRepresentationEquivalence:
-    def test_every_decision_is_lossless(self, host):
-        for record in host.analysis.records:
-            assert record.table.equivalent_to(record.dfa), (
-                "decision %d in %s round-trips lossily"
-                % (record.decision, record.rule_name))
+@pytest.fixture(scope="module")
+def dfas(host):
+    """Every decision's DFA, constructed afresh with the host's options."""
+    return [build_dfa(host.analysis, record.decision)
+            for record in host.analysis.records]
 
-    def test_shape_queries_agree(self, host):
+
+class TestRepresentationEquivalence:
+    def test_every_decision_is_lossless(self, host, dfas):
+        # Compile into a copy of the shared pool: equal gates intern to
+        # the indices the records hold, and the host's pool stays as is.
+        pool = SemCtxPool.from_dict(host.analysis.pool.to_dict())
+        for record, dfa in zip(host.analysis.records, dfas):
+            assert (compile_decision_table(dfa, pool).to_dict()
+                    == record.table.to_dict()), (
+                "decision %d in %s: table is not what construction built"
+                % (record.decision, record.rule_name))
+        assert len(pool) == len(host.analysis.pool)
+
+    def test_rebuild_reproduces_every_table(self, host):
+        """Every record salvaged as degraded and rebuilt through
+        :meth:`AnalysisResult.decision_table` (the parser's and the
+        tools' one rebuild routine) gets back the table the cold
+        compile built, with no new gates in the pool."""
+        payload = host.analysis.to_dict()
+        for rd in payload["records"]:
+            rd["table"] = None
+        salvaged = AnalysisResult.from_dict(host.grammar, host.analysis.atn,
+                                            payload,
+                                            options=host.analysis.options)
+        assert all(r.degraded for r in salvaged.records)
         for record in host.analysis.records:
-            dfa, table = record.dfa, record.table
-            assert table.is_cyclic() == dfa.is_cyclic(), record.decision
-            assert table.fixed_k() == dfa.fixed_k(), record.decision
-            assert table.uses_backtracking() == dfa.uses_backtracking(), \
-                record.decision
+            assert (salvaged.decision_table(record.decision).to_dict()
+                    == record.table.to_dict()), record.decision
+        assert len(salvaged.pool) == len(host.analysis.pool)
 
     def test_warm_record_classifies_identically(self, host):
-        """A record rebuilt from the table alone (the warm-start path —
-        no DFA ever decompiled) must land in the same category with the
-        same fixed k."""
+        """A record rebuilt from the stored table alone (the warm-start
+        path) must land in the same category with the same fixed k."""
+        pool = host.analysis.pool
         for record in host.analysis.records:
-            warm = DecisionRecord.from_table(
-                record.decision, record.rule_name, record.kind, record.table)
+            warm = DecisionRecord(
+                record.decision, record.rule_name, record.kind,
+                DecisionTable.from_dict(record.table.to_dict(), pool))
             assert warm.category == record.category, record.decision
             assert warm.fixed_k == record.fixed_k, record.decision
 
 
 class TestPredictionEquivalence:
-    def _parse_both(self, host, text):
+    def _parse_both(self, host, dfas, text):
         trees, events = [], []
-        for parser_class in (LLStarParser, GraphWalkingParser):
+        for make in (LLStarParser, lambda *args: GraphWalkingParser(*args, dfas)):
             telemetry = ParseTelemetry(capture_events=False)
             opts = ParserOptions(telemetry=telemetry)
-            parser = parser_class(host.analysis, host.tokenize(text), opts)
+            parser = make(host.analysis, host.tokenize(text), opts)
             trees.append(parser.parse())
             events.append(telemetry.profiler.total_events)
         assert trees[0].to_sexpr() == trees[1].to_sexpr()
         assert events[0] == events[1]
 
-    def test_sample_parses_identically(self, host, bench):
-        self._parse_both(host, bench.sample)
+    def test_sample_parses_identically(self, host, dfas, bench):
+        self._parse_both(host, dfas, bench.sample)
 
-    def test_generated_workload_parses_identically(self, host, bench):
-        self._parse_both(host, bench.generate_program(6, seed=3))
+    def test_generated_workload_parses_identically(self, host, dfas, bench):
+        self._parse_both(host, dfas, bench.generate_program(6, seed=3))
 
 
 @pytest.fixture(scope="module")

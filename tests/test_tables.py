@@ -1,9 +1,9 @@
 """Unit tests for the flat-table execution core (repro.tables).
 
-The equivalence sweep against the object model lives in
+The equivalence sweep against the analyzer's DFAs lives in
 ``test_table_equivalence.py``; this file covers the encoding primitives
 directly: sorted-range lookup (including boundary codepoints — the bug
-class the shared bisect helpers exist to kill), pool interning, table
+class the shared bisect helper exists to kill), pool interning, table
 validation, and version gating.
 """
 
@@ -22,30 +22,9 @@ from repro.tables import (
     compile_decision_table,
     compile_lexer_table,
     find_interval_index,
-    find_sorted_key,
 )
 
 MAX_CODEPOINT = 0x10FFFF
-
-
-class TestFindSortedKey:
-    KEYS = (3, 7, 11, 40)
-
-    def test_hits(self):
-        for i, key in enumerate(self.KEYS):
-            assert find_sorted_key(self.KEYS, key, 0, len(self.KEYS)) == i
-
-    def test_misses(self):
-        for key in (-1, 0, 4, 10, 12, 39, 41, 10 ** 9):
-            assert find_sorted_key(self.KEYS, key, 0, len(self.KEYS)) == -1
-
-    def test_respects_row_bounds(self):
-        # Key 7 exists globally but not inside the row [2, 4).
-        assert find_sorted_key(self.KEYS, 7, 2, 4) == -1
-        assert find_sorted_key(self.KEYS, 11, 2, 4) == 2
-
-    def test_empty_row(self):
-        assert find_sorted_key(self.KEYS, 7, 1, 1) == -1
 
 
 class TestFindIntervalIndex:
@@ -82,35 +61,34 @@ class TestFindIntervalIndex:
 
 
 class TestLexerStateBoundaries:
-    """LexerDFAState.next_state shares the interval lookup; drive it
-    through the object model the tokenizer used to walk directly."""
+    """LexerTable.next_state shares the interval lookup; drive it
+    through tables compiled from hand-built construction states."""
 
-    def _state(self):
+    def _table(self, *edges):
         s = LexerDFAState(0)
-        s.add_edge(48, 57, 1)
-        s.add_edge(97, 122, 2)
+        for lo, hi, target in edges:
+            s.add_edge(lo, hi, target)
         s.sort_edges()
-        return s
+        dfa = LexerDFA()
+        dfa.states = [s, LexerDFAState(1), LexerDFAState(2)]
+        return compile_lexer_table(dfa)
 
     def test_hits_and_misses_at_boundaries(self):
-        s = self._state()
-        assert s.next_state(48) == 1
-        assert s.next_state(57) == 1
-        assert s.next_state(97) == 2
-        assert s.next_state(122) == 2
+        t = self._table((48, 57, 1), (97, 122, 2))
+        assert t.next_state(0, 48) == 1
+        assert t.next_state(0, 57) == 1
+        assert t.next_state(0, 97) == 2
+        assert t.next_state(0, 122) == 2
         for miss in (0, 47, 58, 96, 123, MAX_CODEPOINT):
-            assert s.next_state(miss) == -1
+            assert t.next_state(0, miss) == -1
 
     def test_no_edges(self):
-        assert LexerDFAState(0).next_state(65) == -1
+        assert self._table().next_state(0, 65) == -1
 
     def test_unsorted_insertion_is_fixed_by_sort(self):
-        s = LexerDFAState(0)
-        s.add_edge(97, 122, 2)
-        s.add_edge(48, 57, 1)
-        s.sort_edges()
-        assert s.next_state(48) == 1
-        assert s.next_state(122) == 2
+        t = self._table((97, 122, 2), (48, 57, 1))
+        assert t.next_state(0, 48) == 1
+        assert t.next_state(0, 122) == 2
 
 
 class TestSemCtxPool:
@@ -185,7 +163,7 @@ class TestDecisionTableValidation:
 
     def test_clean_dict_loads(self):
         table = DecisionTable.from_dict(self._table_dict(), SemCtxPool())
-        assert table.equivalent_to(_tiny_dfa())
+        assert table.to_dict() == self._table_dict()
 
     def test_non_contiguous_state_ids_rejected_at_compile(self):
         dfa = _tiny_dfa()
@@ -207,19 +185,21 @@ class TestLexerTableRoundTrip:
         return dfa
 
     def test_lossless(self):
-        dfa = self._dfa()
-        table = compile_lexer_table(dfa)
-        assert table.to_lexer_dfa().to_dict() == dfa.to_dict()
+        table = compile_lexer_table(self._dfa())
         rebuilt = LexerTable.from_dict(table.to_dict())
         assert rebuilt.to_dict() == table.to_dict()
 
     def test_next_state_matches_object_walk(self):
+        """The table's bisect against a linear scan of the construction
+        states' interval edges."""
         dfa = self._dfa()
         table = compile_lexer_table(dfa)
-        for state in range(len(dfa.states)):
+        for state in dfa.states:
             for cp in (0, 47, 48, 52, 57, 58, MAX_CODEPOINT):
-                assert table.next_state(state, cp) \
-                    == dfa.state(state).next_state(cp)
+                expected = next((target for lo, hi, target
+                                 in zip(state.los, state.his, state.targets)
+                                 if lo <= cp <= hi), -1)
+                assert table.next_state(state.id, cp) == expected
 
     @pytest.mark.parametrize("mutation, message", [
         (lambda d: d.update(edge_lo=[58, 48]), "interval"),

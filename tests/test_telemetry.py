@@ -396,10 +396,10 @@ class TestCacheWiring:
 
 class TestDegradationWiring:
     def test_degraded_decision_counted(self):
-        # Strip one decision's DFA to force a parse-time rebuild.
+        # Strip one decision's table to force a parse-time rebuild.
         host = repro.compile_grammar(SIMPLE)
         record = host.analysis.records[0]
-        record.dfa = None  # as a salvaged-cache degraded placeholder would be
+        record.table = None  # as a salvaged-cache degraded record would be
         tel = ParseTelemetry()
         host.parse("x = 1 ;", options=ParserOptions(telemetry=tel))
         assert tel.metrics.value("llstar_degradations_total") == 1
