@@ -30,7 +30,7 @@ INPUTS = ["x", "-x", "--x", "---x", "----5", "------5"]
 
 
 def backtrack_percent(host, text):
-    telemetry = ParseTelemetry(capture_events=False)
+    telemetry = ParseTelemetry()
     host.parse(text, options=ParserOptions(telemetry=telemetry))
     return telemetry.report().backtrack_event_percent
 

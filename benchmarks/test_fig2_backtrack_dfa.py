@@ -62,7 +62,7 @@ def test_figure2_dfa(benchmark):
     # Runtime confirmation: '-x' never backtracks, '--x' does.
     host = compile_grammar(FIG2, options=options)
     def backtracks(text):
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         host.parse(text, options=ParserOptions(telemetry=telemetry))
         return telemetry.report().backtrack_event_percent > 0
 

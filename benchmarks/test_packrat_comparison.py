@@ -25,7 +25,7 @@ def test_llstar_reduces_speculation(suite, benchmark):
     stream = host.tokenize(text)
     tokens = stream.size
 
-    telemetry = ParseTelemetry(capture_events=False)
+    telemetry = ParseTelemetry()
     t0 = time.perf_counter()
     host.parse(text, options=ParserOptions(telemetry=telemetry))
     ll_time = time.perf_counter() - t0

@@ -23,7 +23,7 @@ def profile_parse(host, text):
     from repro.runtime.parser import ParserOptions
     from repro.runtime.telemetry import ParseTelemetry
 
-    telemetry = ParseTelemetry(capture_events=False)
+    telemetry = ParseTelemetry()
     started = time.perf_counter()
     host.parse(text, options=ParserOptions(telemetry=telemetry))
     elapsed = time.perf_counter() - started

@@ -24,7 +24,7 @@ def test_table4(suite, paper_names, benchmark):
     percents = {}
     for name in PAPER_ORDER:
         bench, host = suite[name]
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         text = bench.generate_program(UNITS, seed=7)
         host.parse(text, options=ParserOptions(telemetry=telemetry))
         report = telemetry.report(host.analysis)

@@ -3,16 +3,16 @@
 The tracing layer's hot-path contract is a single ``is not None``
 attribute check in ``_adaptive_predict`` / ``_run_rule`` / ``_recover``
 when no :class:`ParseTelemetry` is attached.  This benchmark parses one
-fixed-size program per suite grammar (60 units, seed 3) six ways, asserts
+fixed-size program per suite grammar (60 units, seed 3) five ways, asserts
 the trees are identical, bounds the disabled-path cost at a few percent,
 and records the *enabled* cost in ``benchmarks/results/`` so the price
 of turning observability on is a measured number, not folklore:
 
 * ``tel off`` — ``telemetry=None``, against the bare parse;
-* ``batch`` — the instrument ``llstar batch`` attaches
-  (``capture_events=False``, tree-free), against a bare tree-free parse;
-* ``events`` — the default ``ParseTelemetry()``, which captures events;
-* ``events+spans`` — events plus a span per rule (``trace_rules=True``).
+* ``batch`` — the default ``ParseTelemetry()``, tree-free as
+  ``llstar batch`` attaches it, against a bare tree-free parse;
+* ``trace`` — a ``TraceTelemetry``, the one observer fed per event,
+  with a span per rule, against the bare parse.
 
 The arms are interleaved: each round parses every arm once (best of
 ``REPS``), alternating which arm runs first, and each cell is the median
@@ -28,7 +28,7 @@ import time
 
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.parser import LLStarParser, ParserOptions
-from repro.runtime.telemetry import ParseTelemetry
+from repro.runtime.telemetry import ParseTelemetry, TraceTelemetry
 from repro.runtime.token_stream import ListTokenStream
 
 from conftest import emit_table
@@ -44,9 +44,8 @@ ARMS = (
     ("off", lambda: ParserOptions(telemetry=None)),
     ("bare", lambda: ParserOptions(build_tree=False)),
     ("batch", lambda: ParserOptions(
-        build_tree=False, telemetry=ParseTelemetry(capture_events=False))),
-    ("on", lambda: ParserOptions(telemetry=ParseTelemetry())),
-    ("spans", lambda: ParserOptions(telemetry=ParseTelemetry(trace_rules=True))),
+        build_tree=False, telemetry=ParseTelemetry())),
+    ("trace", lambda: ParserOptions(telemetry=TraceTelemetry())),
 )
 
 
@@ -86,7 +85,7 @@ def _measure(host, tokens):
             elapsed, tree, parser = _best_of(host, tokens, make_options)
             times[arm].append(elapsed)
             last[arm] = (tree, parser)
-    base = {"off": "plain", "batch": "bare", "on": "plain", "spans": "plain"}
+    base = {"off": "plain", "batch": "bare", "trace": "plain"}
     ratios = {arm: statistics.median(
         t / b for t, b in zip(times[arm], times[base[arm]])) for arm in base}
     medians = {arm: statistics.median(ts) for arm, ts in times.items()}
@@ -106,18 +105,16 @@ def test_telemetry_overhead(paper_names):
             plain_s, off_s = medians["plain"], medians["off"]
             plain_tree = last["plain"][0]
             off_tree = last["off"][0]
-            on_tree, on_parser = last["on"]
-            spans_tree = last["spans"][0]
+            trace_tree, trace_parser = last["trace"]
 
             # Observability must never change what the parser produces.
             assert off_tree.to_sexpr() == plain_tree.to_sexpr()
-            assert on_tree.to_sexpr() == plain_tree.to_sexpr()
-            assert spans_tree.to_sexpr() == plain_tree.to_sexpr()
+            assert trace_tree.to_sexpr() == plain_tree.to_sexpr()
             # ...and the enabled run really did observe the parse.
-            tel = on_parser.options.telemetry
+            tel = trace_parser.options.telemetry
             assert tel.metrics.value("llstar_predictions_total") > 0
             assert tel.dfa_hit_rate > 0.0
-            # Batch's tally saw the same predictions the events did.
+            # Batch's tally saw the same predictions the trace did.
             batch_tel = last["batch"][1].options.telemetry
             assert batch_tel.metrics.value("llstar_predictions_total") == \
                 tel.metrics.value("llstar_predictions_total")
@@ -133,7 +130,7 @@ def test_telemetry_overhead(paper_names):
                 "%.1fms" % (plain_s * 1e3),
                 "%.1fms" % (medians["bare"] * 1e3),
             ) + tuple("%+.1f%%" % ((ratios[arm] - 1.0) * 100.0)
-                      for arm in ("off", "batch", "on", "spans")))
+                      for arm in ("off", "batch", "trace")))
     finally:
         if previous is not None:
             os.sched_setaffinity(0, previous)
@@ -144,6 +141,6 @@ def test_telemetry_overhead(paper_names):
         "each) of the cost against the bare parse; %d-unit programs, "
         "seed %d%s" % (ROUNDS, REPS, UNITS, SEED,
                        ", one pinned CPU" if previous is not None else ""),
-        ("Grammar", "tokens", "plain", "tree-free", "tel off", "batch",
-         "events", "events+spans"),
+        ("Grammar", "tokens", "plain", "tree-free", "tel off",
+         "default (batch)", "trace"),
         rows)

@@ -29,7 +29,7 @@ def main():
     host = bench.compile()
 
     batch = bench.generate_program(12, seed=2026)
-    telemetry = ParseTelemetry(capture_events=False)
+    telemetry = ParseTelemetry()
     tree = host.parse(batch, options=ParserOptions(telemetry=telemetry))
 
     statements = tree.child_rules("sql_statement")

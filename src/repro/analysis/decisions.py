@@ -16,10 +16,9 @@ buckets follow Table 1 of the paper:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.analysis.construction import AnalysisOptions, DecisionAnalyzer
-from repro.analysis.dfa_model import DFA
 from repro.analysis.diagnostics import AnalysisDiagnostic
 from repro.atn.builder import build_atn
 from repro.atn.states import ATN
@@ -67,12 +66,14 @@ class DecisionRecord:
     def category(self) -> str:
         """Table 1 bucket, derived from the table's shape on first use.
 
-        A degraded record reads as fixed with no k, and is classified
-        from its table once the rebuild installs one."""
+        A degraded record has no shape to read: classify it through
+        :meth:`AnalysisResult.classified`, which rebuilds it first."""
         if self._category is None:
             table = self.table
             if table is None:
-                return FIXED
+                raise ValueError("decision %d is degraded; classify it "
+                                 "through AnalysisResult.classified()"
+                                 % self.decision)
             if table.uses_backtracking():
                 self._category = BACKTRACK
             elif table.is_cyclic():
@@ -95,9 +96,13 @@ class DecisionRecord:
         return self.category == BACKTRACK
 
     def __repr__(self):
-        extra = " k=%s" % self.fixed_k if self.fixed_k else ""
-        return "DecisionRecord(%d in %s: %s%s)" % (
-            self.decision, self.rule_name, self.category, extra)
+        if self.degraded:
+            what = "degraded"
+        else:
+            what = self.category + (" k=%s" % self.fixed_k
+                                    if self.fixed_k else "")
+        return "DecisionRecord(%d in %s: %s)" % (
+            self.decision, self.rule_name, what)
 
 
 class AnalysisResult:
@@ -145,6 +150,16 @@ class AnalysisResult:
         return TableSet(self.pool, [self.decision_table(r.decision)
                                     for r in self.records], lexer)
 
+    def classified(self) -> List[DecisionRecord]:
+        """Every record, each with its table in place (a degraded one is
+        rebuilt through :meth:`decision_table`), so that its
+        :attr:`~DecisionRecord.category` reads the real machine.  Every
+        Table 1-4 aggregate classifies through this."""
+        for r in self.records:
+            if r.table is None:
+                self.decision_table(r.decision)
+        return self.records
+
     # -- Table 1 / Table 2 style aggregates ----------------------------------------
 
     @property
@@ -152,12 +167,12 @@ class AnalysisResult:
         return len(self.records)
 
     def count(self, category: str) -> int:
-        return sum(1 for r in self.records if r.category == category)
+        return sum(1 for r in self.classified() if r.category == category)
 
     def fixed_k_histogram(self) -> Dict[int, int]:
         """Number of fixed decisions per lookahead depth k (Table 2)."""
         hist: Dict[int, int] = {}
-        for r in self.records:
+        for r in self.classified():
             if r.category == FIXED and r.fixed_k is not None:
                 hist[r.fixed_k] = hist.get(r.fixed_k, 0) + 1
         return dict(sorted(hist.items()))
@@ -170,7 +185,8 @@ class AnalysisResult:
     def percent_ll1(self) -> float:
         if not self.records:
             return 0.0
-        ll1 = sum(1 for r in self.records if r.category == FIXED and r.fixed_k == 1)
+        ll1 = sum(1 for r in self.classified()
+                  if r.category == FIXED and r.fixed_k == 1)
         return 100.0 * ll1 / len(self.records)
 
     def summary(self) -> str:
@@ -313,26 +329,22 @@ class GrammarAnalyzer:
         erase_syntactic_predicates(self.grammar)
         return build_atn(self.grammar)
 
-    def analyze(self, parallel: Optional[int] = None) -> AnalysisResult:
+    def analyze(self) -> AnalysisResult:
         started = time.perf_counter()
         atn = self.prepare_atn()
         start_rule = self.grammar.start_rule
-        if parallel is not None and parallel > 1 and len(atn.decisions) > 1:
-            outcomes = self._analyze_parallel(atn, start_rule, parallel)
-        else:
-            # Lazily, so each DFA is compiled and dropped before the next
-            # decision's construction starts.
-            outcomes = (self._analyze_decision(atn, info.decision, start_rule)
-                        for info in atn.decisions)
         pool = SemCtxPool()
         records: List[DecisionRecord] = []
         diagnostics: List[AnalysisDiagnostic] = []
-        for info, (dfa, decision_diags) in zip(atn.decisions, outcomes):
-            # Compiled serially in decision order, so pool indices (and
-            # therefore serialized payloads) are bit-identical whether the
-            # DFAs were built serially or on N threads.
-            table = compile_decision_table(dfa, pool)
-            diagnostics.extend(decision_diags)
+        for info in atn.decisions:
+            # One decision at a time, so each DFA is compiled (in decision
+            # order, which fixes the pool indices) and dropped before the
+            # next decision's construction starts.
+            analyzer = DecisionAnalyzer(atn, info.decision,
+                                        start_rule=start_rule,
+                                        options=self.options)
+            table = compile_decision_table(analyzer.create_dfa(), pool)
+            diagnostics.extend(analyzer.diagnostics)
             dead = table.unreachable_alts()
             if dead and not table.fell_back_to_ll1:
                 diagnostics.append(AnalysisDiagnostic.dead_alternative(
@@ -343,43 +355,8 @@ class GrammarAnalyzer:
         return AnalysisResult(self.grammar, atn, records, diagnostics, elapsed,
                               pool, self.options)
 
-    def _analyze_decision(
-            self, atn: ATN, decision: int, start_rule: Optional[str],
-    ) -> Tuple[DFA, List[AnalysisDiagnostic]]:
-        """One decision's subset construction: its DFA and the
-        diagnostics construction emitted, in emission order."""
-        analyzer = DecisionAnalyzer(atn, decision, start_rule=start_rule,
-                                    options=self.options)
-        return analyzer.create_dfa(), analyzer.diagnostics
 
-    def _analyze_parallel(self, atn: ATN, start_rule: Optional[str],
-                          parallel: int) -> List[Tuple[DFA,
-                                                       List[AnalysisDiagnostic]]]:
-        """Analyze independent decisions concurrently.
-
-        Each :class:`DecisionAnalyzer` owns all the state it mutates and
-        only reads the shared ATN/grammar, so threads need no locking;
-        results are collected in decision order (and compiled into tables
-        by the caller in that order), making records and diagnostics
-        bit-for-bit identical to the serial loop regardless of
-        scheduling.  On GIL builds the speedup for this pure-Python
-        workload is modest; free-threaded interpreters scale with N.
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(parallel, len(atn.decisions))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(self._analyze_decision, atn, info.decision,
-                                   start_rule)
-                       for info in atn.decisions]
-            return [f.result() for f in futures]
-
-
-def analyze(grammar: Grammar, options: Optional[AnalysisOptions] = None,
-            parallel: Optional[int] = None) -> AnalysisResult:
-    """Convenience wrapper: ``GrammarAnalyzer(grammar, options).analyze()``.
-
-    ``parallel=N`` analyzes decisions on N threads; the result is
-    identical to a serial run (see :meth:`GrammarAnalyzer._analyze_parallel`).
-    """
-    return GrammarAnalyzer(grammar, options).analyze(parallel=parallel)
+def analyze(grammar: Grammar, options: Optional[AnalysisOptions] = None
+            ) -> AnalysisResult:
+    """Convenience wrapper: ``GrammarAnalyzer(grammar, options).analyze()``."""
+    return GrammarAnalyzer(grammar, options).analyze()

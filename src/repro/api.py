@@ -8,8 +8,7 @@ pre-made token streams.
 ``cache_dir`` enables the compiled-artifact cache (:mod:`repro.cache`):
 the first compile of a grammar serializes its DFAs and lexer tables, and
 subsequent compiles warm-start from disk, skipping static analysis
-entirely.  ``parallel`` spreads a cold compile's per-decision analysis
-over N threads.
+entirely.
 """
 
 from __future__ import annotations
@@ -238,7 +237,6 @@ def compile_grammar(source, name: Optional[str] = None,
                     rewrite_left_recursion: bool = True,
                     strict: bool = True,
                     cache_dir: Optional[str] = None,
-                    parallel: Optional[int] = None,
                     telemetry=None) -> ParserHost:
     """Full pipeline: text or Grammar -> ready-to-parse :class:`ParserHost`.
 
@@ -250,12 +248,11 @@ def compile_grammar(source, name: Optional[str] = None,
     (:mod:`repro.cache`): a warm hit skips static analysis entirely and
     the returned host has ``from_cache = True``.  Only grammar *text* is
     cacheable — a pre-built :class:`Grammar` object has no stable content
-    hash, so ``cache_dir`` is ignored for it.  ``parallel=N`` runs a cold
-    compile's per-decision analysis on N threads.
+    hash, so ``cache_dir`` is ignored for it.
 
     ``telemetry`` (a :class:`~repro.runtime.telemetry.ParseTelemetry`)
     observes the compile: a span per compile plus cache
-    hit/miss/save/evict events when ``cache_dir`` is set.  The same
+    hit/miss/save/evict counts when ``cache_dir`` is set.  The same
     object can then be attached to ``ParserOptions`` so compile-time and
     parse-time metrics land in one registry.
     """
@@ -263,14 +260,14 @@ def compile_grammar(source, name: Optional[str] = None,
         with telemetry.span("compile:%s" % (name or "grammar")):
             return _compile_grammar_impl(source, name, options,
                                          rewrite_left_recursion, strict,
-                                         cache_dir, parallel, telemetry)
+                                         cache_dir, telemetry)
     return _compile_grammar_impl(source, name, options,
                                  rewrite_left_recursion, strict,
-                                 cache_dir, parallel, telemetry)
+                                 cache_dir, telemetry)
 
 
 def _compile_grammar_impl(source, name, options, rewrite_left_recursion,
-                          strict, cache_dir, parallel, telemetry) -> ParserHost:
+                          strict, cache_dir, telemetry) -> ParserHost:
     if cache_dir is not None and not isinstance(source, Grammar):
         from repro.cache import ArtifactStore, CacheDiagnostic, artifact_key
         from repro.cache import artifact_to_dict, grammar_fingerprint
@@ -297,7 +294,7 @@ def _compile_grammar_impl(source, name, options, rewrite_left_recursion,
                 store.evict(key)  # recompile and republish below
         host = compile_grammar(source, name=name, options=options,
                                rewrite_left_recursion=rewrite_left_recursion,
-                               strict=strict, parallel=parallel)
+                               strict=strict)
         store.save(key, artifact_to_dict(host.grammar, host.analysis,
                                          host.lexer_spec,
                                          grammar_fingerprint(source, name)),
@@ -306,7 +303,7 @@ def _compile_grammar_impl(source, name, options, rewrite_left_recursion,
         return host
 
     grammar, issues = _prepare_grammar(source, name, rewrite_left_recursion, strict)
-    analysis = analyze(grammar, options, parallel=parallel)
+    analysis = analyze(grammar, options)
     lexer_spec = build_lexer(grammar) if _wants_lexer(grammar) else None
     host = ParserHost(grammar, analysis, lexer_spec)
     host.validation_issues = issues

@@ -213,7 +213,7 @@ def llk_viability(analysis, max_k: int = 8) -> Optional[str]:
         for el in rule.walk_elements():
             if isinstance(el, (ast.SemanticPredicate, ast.SyntacticPredicate)):
                 return "rule %s uses predicates" % rule.name
-    for decision, record in enumerate(analysis.records):
+    for decision, record in enumerate(analysis.classified()):
         if record.category != FIXED:
             return "decision %d (%s) is %s" % (
                 decision, record.rule_name, record.category)

@@ -193,7 +193,7 @@ class BatchEngine:
                  budget: Optional[ParserBudget] = None,
                  recover: bool = False, cache_dir: Optional[str] = None,
                  rewrite_left_recursion: bool = True, strict: bool = True,
-                 parallel: Optional[int] = None, chaos=None):
+                 chaos=None):
         from repro.api import compile_grammar
 
         if jobs is not None and jobs < 0:
@@ -207,7 +207,7 @@ class BatchEngine:
         self.host = compile_grammar(
             grammar_text, name=name, options=options,
             rewrite_left_recursion=rewrite_left_recursion, strict=strict,
-            cache_dir=cache_dir, parallel=parallel)
+            cache_dir=cache_dir)
         self._grammar = PoolGrammar(grammar_text, name, options,
                                     rewrite_left_recursion, strict)
         self._cache_dir = cache_dir

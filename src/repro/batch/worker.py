@@ -61,7 +61,7 @@ class ChunkTask:
         from repro.batch.engine import BatchResult
 
         if telemetry is None:
-            telemetry = ParseTelemetry(capture_events=False)
+            telemetry = ParseTelemetry()
         input_seconds = telemetry.metrics.histogram(
             "llstar_batch_input_seconds", "per-input parse latency",
             buckets=LATENCY_BUCKETS)

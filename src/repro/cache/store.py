@@ -78,12 +78,11 @@ def artifact_key(source: str, name: Optional[str],
 
     Covers everything that changes the compiled artifact: grammar text
     (content hash), the analysis tunables, and the left-recursion-rewrite
-    flag.  ``strict`` and ``parallel`` are deliberately excluded —
-    neither changes the result, only whether errors raise / how fast
-    analysis runs.  The format versions are deliberately *not* part of
-    the key either: the image header carries them, and a mismatch
-    evicts the entry at load time instead of orphaning it under a dead
-    key.
+    flag.  ``strict`` is deliberately excluded — it does not change the
+    result, only whether errors raise.  The format versions are
+    deliberately *not* part of the key either: the image header carries
+    them, and a mismatch evicts the entry at load time instead of
+    orphaning it under a dead key.
     """
     opts = options or AnalysisOptions()
     material = json.dumps({
@@ -98,9 +97,9 @@ class ArtifactStore:
     """A directory of ``<key>.llt`` compiled-artifact images.
 
     ``telemetry`` (a :class:`~repro.runtime.telemetry.ParseTelemetry`)
-    receives one :class:`~repro.runtime.telemetry.CacheEvent` per store
-    operation — hit, miss, save, evict, orphan sweep — and a
-    ``llstar_cache_events_total{op=...}`` counter each.
+    counts each store operation — hit, miss, save, evict, and every
+    :class:`CacheDiagnostic` kind — in ``llstar_cache_events_total{op=...}``;
+    what a diagnostic was about stays in :attr:`diagnostics`.
     """
 
     #: A ``.tmp`` spill younger than this is assumed to belong to a
@@ -130,13 +129,12 @@ class ArtifactStore:
     def note(self, kind: str, key: str, detail: str) -> CacheDiagnostic:
         d = CacheDiagnostic(kind, key, detail)
         self.diagnostics.append(d)
-        if self.telemetry is not None:
-            self.telemetry.record_cache(kind, key, detail)
+        self._record(kind)
         return d
 
-    def _record(self, operation: str, key: str, detail: str = "") -> None:
+    def _record(self, operation: str) -> None:
         if self.telemetry is not None:
-            self.telemetry.record_cache(operation, key, detail)
+            self.telemetry.record_cache(operation)
 
     def _sweep_orphan_temps(self, max_age_seconds: float) -> int:
         """Delete ``.tmp`` spills abandoned by a writer that died between
@@ -181,7 +179,7 @@ class ArtifactStore:
         try:
             mapped = MappedArtifact(self.path_for(key))
         except FileNotFoundError:
-            self._record("miss", key)
+            self._record("miss")
             return None
         except (OSError, ArtifactFormatError) as e:
             self.note(CacheDiagnostic.CORRUPT, key,
@@ -190,7 +188,7 @@ class ArtifactStore:
                          else e.__class__.__name__))
             self.evict(key)
             return None
-        self._record("hit", key)
+        self._record("hit")
         return mapped
 
     def save(self, key: str, payload: dict, source: str) -> bool:
@@ -221,7 +219,7 @@ class ArtifactStore:
                 raise
         except OSError:
             return False
-        self._record("save", key)
+        self._record("save")
         return True
 
     def evict(self, key: str) -> None:
@@ -231,7 +229,7 @@ class ArtifactStore:
             os.unlink(self.path_for(key))
         except OSError:
             return
-        self._record("evict", key)
+        self._record("evict")
 
     def __repr__(self):
         return "ArtifactStore(%r)" % self.cache_dir

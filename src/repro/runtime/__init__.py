@@ -20,14 +20,9 @@ from repro.runtime.errors import (
 from repro.runtime.profiler import DecisionProfiler, DecisionStats, ProfileReport
 from repro.runtime.streaming import StreamingTokenStream
 from repro.runtime.telemetry import (
-    CacheEvent,
     DegradationEvent,
-    DfaFallbackEvent,
     MetricsRegistry,
     ParseTelemetry,
-    PredictEvent,
-    RecoveryEvent,
-    SpanEvent,
     TraceTelemetry,
 )
 
@@ -73,10 +68,5 @@ __all__ = [
     "ProfileReport",
     "ParseTelemetry",
     "MetricsRegistry",
-    "PredictEvent",
-    "DfaFallbackEvent",
-    "RecoveryEvent",
-    "CacheEvent",
-    "SpanEvent",
     "TraceTelemetry",
 ]

@@ -103,8 +103,7 @@ class DefaultErrorStrategy(ErrorStrategy):
         parser._attach_error_node(ErrorNode(error=error, tokens=[deleted]))
         telemetry = getattr(parser, "_telemetry", None)
         if telemetry is not None:
-            telemetry.record_recovery("delete", rule_name, stream.index,
-                                      skipped=1)
+            telemetry.record_recovery("delete", 1)
         return stream.consume()
 
     def _insert(self, parser, expected_type: int, rule_name: str):
@@ -121,6 +120,6 @@ class DefaultErrorStrategy(ErrorStrategy):
             ErrorNode(error=error, inserted=missing, at=stream.index))
         telemetry = getattr(parser, "_telemetry", None)
         if telemetry is not None:
-            telemetry.record_recovery("insert", rule_name, stream.index)
+            telemetry.record_recovery("insert")
         return missing
 

@@ -245,9 +245,7 @@ class EditSession:
         self.stats = stats
         if self.telemetry is not None:
             self.telemetry.record_incremental_edit(
-                stats.relexed_chars, stats.damaged_tokens,
-                stats.shifted_tokens, stats.reused_nodes,
-                stats.reused_tokens, stats.total_tokens)
+                stats.relexed_chars, stats.reused_nodes, stats.reused_tokens)
         return self.tree
 
     # -- lexing ------------------------------------------------------------

@@ -70,7 +70,7 @@ class ParserOptions:
     :class:`~repro.exceptions.BudgetExceededError`.
     ``telemetry``: a :class:`~repro.runtime.telemetry.ParseTelemetry`,
     the parser's one observer: per-decision statistics (Tables 3-4),
-    metrics, events, spans and, as a ``TraceTelemetry``, a trace.
+    metrics, spans and, as a ``TraceTelemetry``, a trace.
     ``reuse``: a mapping ``(rule name, start index) -> RuleNode`` of
     subtrees from a previous parse of (mostly) the same tokens, which
     seeds the parser's rule memo.  Speculation seeks past a seeded
@@ -203,9 +203,7 @@ class LLStarParser(Predictor):
                     self._check_deadline()
                     skipped.append(self.stream.consume())
                 if self._telemetry is not None:
-                    self._telemetry.record_recovery(
-                        "eof-drain", rule_name, self.stream.index,
-                        skipped=len(skipped))
+                    self._telemetry.record_recovery("eof-drain", len(skipped))
                 if node is not None and (reported or skipped):
                     # The root is already closed; extend its span over
                     # the drained tail so it still covers the whole tree.
@@ -311,7 +309,7 @@ class LLStarParser(Predictor):
                 elif memo_key is not None:
                     self._memo[memo_key] = _MEMO_FAILED
                 if self._recover_errors and not self._speculating:
-                    self._recover(rule_name, error)
+                    self._recover(error)
                     if node is not None:
                         self._builder.close_rule(self.stream.index)
                     return node
@@ -371,8 +369,6 @@ class LLStarParser(Predictor):
             builder.root = node
             node.parent = None
             node.source = builder.source
-        if self._telemetry is not None:
-            self._telemetry.record_reuse(node.rule_name, node.start, node.stop)
         return node
 
     def _walk(self, program: RuleProgram, frame: Dict[str, Any],
@@ -454,7 +450,7 @@ class LLStarParser(Predictor):
         raise MismatchedTokenError(repr(transition), token, self.stream.index,
                                    rule_name=rule_name)
 
-    def _recover(self, rule_name: str, error: RecognitionError) -> None:
+    def _recover(self, error: RecognitionError) -> None:
         """Panic-mode sync-and-return (ANTLR's ``recover``): report, then
         consume tokens until one that some rule on the invocation stack
         can use right after its pending call returns.  The resync set is
@@ -492,9 +488,7 @@ class LLStarParser(Predictor):
             skipped.append(self.stream.consume())
         self._last_recovery_index = self.stream.index
         if self._telemetry is not None:
-            self._telemetry.record_recovery("panic", rule_name,
-                                            self.stream.index,
-                                            skipped=len(skipped))
+            self._telemetry.record_recovery("panic", len(skipped))
         if reported or skipped:
             self._attach_error_node(ErrorNode(
                 error=error if reported else None, tokens=skipped))
@@ -563,11 +557,10 @@ class LLStarParser(Predictor):
         from repro.runtime.telemetry import DegradationEvent
 
         table = self.analysis.decision_table(decision)
-        event = DegradationEvent(decision, record.rule_name,
-                                 "decision DFA rebuilt at parse time")
-        self.degradations.append(event)
+        self.degradations.append(DegradationEvent(
+            decision, record.rule_name, "decision DFA rebuilt at parse time"))
         if self._telemetry is not None:
-            self._telemetry.record_degradation(event)
+            self._telemetry.record_degradation()
         return table, True
 
     def _run_synpred(self, name: str) -> None:

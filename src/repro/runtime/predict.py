@@ -62,8 +62,8 @@ class Predictor:
     parse counts its committed predictions, rules and speculations in a
     :class:`~repro.runtime.telemetry.ParseTally`, which the subclass's
     ``parse`` folds in when it returns or raises (:meth:`_report_parse`);
-    a ``per_event`` telemetry gets each prediction and speculation as it
-    happens instead.
+    a ``per_event`` telemetry (a trace) gets each prediction and
+    speculation as it happens instead.
 
     ``seed`` (a mapping ``(rule name, start index) -> RuleNode``, possibly
     empty) starts the memo with subtrees from a previous parse and turns
@@ -175,7 +175,7 @@ class Predictor:
         if self._tally is not None:
             self._telemetry.record_parse(self._tally)
 
-    def _report_prediction(self, decision: int, rule_name: str, k: int,
+    def _report_prediction(self, decision: int, k: int,
                            used_predicates: bool, backtracked: bool,
                            backtrack_depth: int, degraded: bool) -> None:
         """Count a committed prediction other than a one-token DFA hit,
@@ -187,8 +187,8 @@ class Predictor:
             fallbacks += ("degraded",)
         if self._per_event:
             self._telemetry.record_predict(
-                decision, rule_name, k, not fallbacks, backtracked,
-                backtrack_depth, self.stream.index, fallbacks)
+                decision, k, not fallbacks, backtracked, backtrack_depth,
+                fallbacks)
             return
         key = (decision, k, backtracked, backtrack_depth, fallbacks)
         predictions = self._tally.predictions
@@ -301,9 +301,8 @@ class Predictor:
                 if (offset > 1 or used_predicates or degraded
                         or self._per_event):
                     self._report_prediction(
-                        decision, table.rule_name, max(offset, 1),
-                        used_predicates, backtracked, backtrack_depth,
-                        degraded)
+                        decision, max(offset, 1), used_predicates,
+                        backtracked, backtrack_depth, degraded)
                 else:
                     tally.dfa_k1[decision] += 1
 

@@ -186,7 +186,7 @@ class ProfileReport:
     def can_backtrack_decisions(self) -> Optional[Set[int]]:
         if self.analysis is None:
             return None
-        return {r.decision for r in self.analysis.records if r.can_backtrack}
+        return {r.decision for r in self.analysis.classified() if r.can_backtrack}
 
     @property
     def did_backtrack_decisions(self) -> Set[int]:

@@ -3,8 +3,8 @@
 The paper's evaluation (Tables 2-4) is built on instrumenting prediction
 — lookahead depth, backtracking frequency, DFA coverage.
 :class:`ParseTelemetry` receives every committed prediction, rule
-invocation, speculation, repair and degradation as one hook call, and
-every view of that stream reads what it keeps:
+invocation, speculation, repair and degradation, and keeps each fact in
+one place:
 
 * **Per-decision store** — :attr:`ParseTelemetry.profiler`, the
   :class:`~repro.runtime.profiler.DecisionProfiler` behind Tables 3-4;
@@ -13,31 +13,33 @@ every view of that stream reads what it keeps:
   histograms (DFA hit vs ATN-fallback rate, realized-k distribution,
   recovery attempts, cache hit/miss/evict, peak streaming window) and
   exports them as JSON or Prometheus text exposition format.
-* **Events** — with ``capture_events`` on, one small object per
-  occurrence (:class:`PredictEvent`, :class:`DfaFallbackEvent`, ...);
-  none is built while it is off.  The list is bounded, with a drop
-  counter so truncation is visible.
-* **Spans** — nested wall-clock timing for rule invocation and synpred
+* **Spans** — wall-clock timing for rule invocation and synpred
   speculation (:meth:`ParseTelemetry.span`), aggregated into per-kind
-  latency histograms; nesting depth is per thread.
+  latency histograms.
 * **Trace** — :class:`TraceTelemetry` renders rule spans, predictions
-  and speculation spans as the ``llstar parse --trace`` transcript.
+  and speculation spans, indented by their per-thread nesting depth, as
+  the ``llstar parse --trace`` transcript.
+
+The details of one occurrence stay with the component that owns it:
+a repair in ``parser.errors`` and the tree's error nodes, a cache
+operation in ``ArtifactStore.diagnostics``, a degradation in
+``parser.degradations``, grafts in ``parser.reused_nodes`` and
+``EditSession.stats``.
 
 Attach one via ``ParserOptions(telemetry=...)`` /
 ``compile_grammar(telemetry=...)`` or the CLI's ``--metrics-out``.
 Every hook is a no-op ``None`` check when telemetry is not attached
 (``benchmarks/test_telemetry_overhead.py`` bounds the cost).  ``record_*``
 methods take one internal lock, so one telemetry object can observe
-concurrent parses of a batch without losing events.
+concurrent parses of a batch without losing counts.
 
 A parser does not call a hook per prediction, rule or speculation: it
 counts them in its own :class:`ParseTally`, without a lock, and
 :meth:`ParseTelemetry.record_parse` folds the tally in once, when the
-parse returns or raises.  Only where their order is observable — a
-telemetry that captures events, or a :class:`TraceTelemetry` — does a
-parser deliver each prediction and speculation as it happens
-(:attr:`ParseTelemetry.per_event`).  Both paths add predictions through
-one routine, so the aggregates they leave are identical.
+parse returns or raises.  Only a :class:`TraceTelemetry`, whose
+transcript is an ordering, gets each prediction and speculation as it
+happens (:attr:`ParseTelemetry.per_event`).  Both paths add predictions
+through one routine, so the aggregates they leave are identical.
 """
 
 from __future__ import annotations
@@ -52,147 +54,24 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.runtime.profiler import DecisionProfiler, ProfileReport
 
 __all__ = [
-    "CacheEvent",
     "Counter",
     "DegradationEvent",
-    "DfaFallbackEvent",
     "Gauge",
     "Histogram",
-    "IncrementalEditEvent",
     "MetricsRegistry",
     "ParseTally",
     "ParseTelemetry",
-    "PredictEvent",
-    "RecoveryEvent",
-    "ReuseEvent",
-    "SpanEvent",
     "TraceTelemetry",
 ]
-
-
-# -- event model ---------------------------------------------------------------------
-
-
-class PredictEvent:
-    """One adaptive-prediction outcome: which decision ran, how many
-    tokens of lookahead the DFA realized (``k``), and whether the pure
-    DFA walk sufficed (``dfa_hit``) or the decision fell back to
-    predicate/synpred evaluation (``backtracked`` when speculation
-    actually ran, with its deepest token reach in ``backtrack_depth``)."""
-
-    kind = "predict"
-    __slots__ = ("decision", "rule_name", "k", "dfa_hit", "backtracked",
-                 "backtrack_depth", "index")
-
-    def __init__(self, decision: int, rule_name: str, k: int, dfa_hit: bool,
-                 backtracked: bool, backtrack_depth: int, index: int):
-        self.decision = decision
-        self.rule_name = rule_name
-        self.k = k
-        self.dfa_hit = dfa_hit
-        self.backtracked = backtracked
-        self.backtrack_depth = backtrack_depth
-        self.index = index
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "decision": self.decision,
-                "rule": self.rule_name, "k": self.k, "dfa_hit": self.dfa_hit,
-                "backtracked": self.backtracked,
-                "backtrack_depth": self.backtrack_depth, "index": self.index}
-
-    def __repr__(self):
-        return "PredictEvent(d%d k=%d %s)" % (
-            self.decision, self.k, "dfa" if self.dfa_hit else "fallback")
-
-
-class DfaFallbackEvent:
-    """A decision left the token-edge DFA and resolved through predicate
-    evaluation (``reason='predicates'``), speculative parsing
-    (``reason='synpred'``), or an on-the-fly DFA rebuild
-    (``reason='degraded'``)."""
-
-    kind = "dfa-fallback"
-    __slots__ = ("decision", "rule_name", "reason", "index")
-
-    def __init__(self, decision: int, rule_name: str, reason: str, index: int):
-        self.decision = decision
-        self.rule_name = rule_name
-        self.reason = reason
-        self.index = index
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "decision": self.decision,
-                "rule": self.rule_name, "reason": self.reason,
-                "index": self.index}
-
-    def __repr__(self):
-        return "DfaFallbackEvent(d%d %s)" % (self.decision, self.reason)
-
-
-class RecoveryEvent:
-    """One error-repair occurrence.  ``kind`` distinguishes inline
-    single-token ``insert``/``delete``, rule-level ``panic`` resync, and
-    the end-of-parse ``eof-drain``; ``skipped`` counts tokens thrown away
-    to resynchronise."""
-
-    PANIC = "panic"
-    INSERT = "insert"
-    DELETE = "delete"
-    EOF_DRAIN = "eof-drain"
-
-    kind = "recovery"
-    __slots__ = ("repair", "rule_name", "index", "skipped")
-
-    def __init__(self, repair: str, rule_name: str, index: int, skipped: int = 0):
-        self.repair = repair
-        self.rule_name = rule_name
-        self.index = index
-        self.skipped = skipped
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "repair": self.repair,
-                "rule": self.rule_name, "index": self.index,
-                "skipped": self.skipped}
-
-    def __repr__(self):
-        return "RecoveryEvent(%s in %s @%d, skipped %d)" % (
-            self.repair, self.rule_name, self.index, self.skipped)
-
-
-class CacheEvent:
-    """One artifact-cache occurrence: ``hit``, ``miss``, ``save``,
-    ``evict``, an orphaned-temp sweep (``orphan``), or any
-    :class:`~repro.cache.CacheDiagnostic` kind verbatim."""
-
-    HIT = "hit"
-    MISS = "miss"
-    SAVE = "save"
-    EVICT = "evict"
-    ORPHAN = "orphan"
-
-    kind = "cache"
-    __slots__ = ("operation", "key", "detail")
-
-    def __init__(self, operation: str, key: str, detail: str = ""):
-        self.operation = operation
-        self.key = key
-        self.detail = detail
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "operation": self.operation,
-                "key": self.key, "detail": self.detail}
-
-    def __repr__(self):
-        return "CacheEvent(%s %s)" % (self.operation, self.key[:16])
 
 
 class DegradationEvent:
     """One graceful-degradation occurrence: a decision ran without its
     precomputed artifact (e.g. the cached DFA was corrupt) and the
-    runtime fell back to on-the-fly analysis instead of failing."""
+    runtime fell back to on-the-fly analysis instead of failing.
+    ``parser.degradations`` and ``ParseService.events`` hold them."""
 
     __slots__ = ("decision", "rule_name", "reason")
-    kind = "degradation"
 
     def __init__(self, decision: int, rule_name: str, reason: str):
         self.decision = decision
@@ -204,90 +83,16 @@ class DegradationEvent:
             self.decision, self.rule_name, self.reason)
 
 
-class ReuseEvent:
-    """One subtree graft during an incremental reparse: rule ``rule_name``
-    at (new) token span ``[start, stop]`` was spliced from the previous
-    parse instead of being re-derived."""
-
-    kind = "reuse"
-    __slots__ = ("rule_name", "start", "stop")
-
-    def __init__(self, rule_name: str, start: int, stop: int):
-        self.rule_name = rule_name
-        self.start = start
-        self.stop = stop
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "rule": self.rule_name,
-                "start": self.start, "stop": self.stop}
-
-    def __repr__(self):
-        return "ReuseEvent(%s[%d:%d])" % (self.rule_name, self.start, self.stop)
-
-
-class IncrementalEditEvent:
-    """One :meth:`~repro.runtime.incremental.EditSession.edit` applied:
-    how many characters were relexed (the damage window), how many
-    tokens the edit shifted vs. replaced, and whether the reparse could
-    reuse anything at all."""
-
-    kind = "incremental-edit"
-    __slots__ = ("relexed_chars", "damaged_tokens", "shifted_tokens",
-                 "reused_nodes", "reused_tokens", "total_tokens")
-
-    def __init__(self, relexed_chars: int, damaged_tokens: int,
-                 shifted_tokens: int, reused_nodes: int, reused_tokens: int,
-                 total_tokens: int):
-        self.relexed_chars = relexed_chars
-        self.damaged_tokens = damaged_tokens
-        self.shifted_tokens = shifted_tokens
-        self.reused_nodes = reused_nodes
-        self.reused_tokens = reused_tokens
-        self.total_tokens = total_tokens
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "relexed_chars": self.relexed_chars,
-                "damaged_tokens": self.damaged_tokens,
-                "shifted_tokens": self.shifted_tokens,
-                "reused_nodes": self.reused_nodes,
-                "reused_tokens": self.reused_tokens,
-                "total_tokens": self.total_tokens}
-
-    def __repr__(self):
-        return ("IncrementalEditEvent(%d chars relexed, %d/%d tokens reused)"
-                % (self.relexed_chars, self.reused_tokens, self.total_tokens))
-
-
-class SpanEvent:
-    """A closed timing span: ``name`` is ``kind:detail`` (e.g.
-    ``rule:expr``, ``synpred:synpred1_t``), ``depth`` its nesting level,
-    ``elapsed`` wall-clock seconds."""
-
-    kind = "span"
-    __slots__ = ("name", "depth", "elapsed")
-
-    def __init__(self, name: str, depth: int, elapsed: float):
-        self.name = name
-        self.depth = depth
-        self.elapsed = elapsed
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "name": self.name, "depth": self.depth,
-                "elapsed": self.elapsed}
-
-    def __repr__(self):
-        return "SpanEvent(%s %.6fs depth %d)" % (self.name, self.elapsed, self.depth)
-
-
 class _OpenSpan:
-    """Handle returned by :meth:`ParseTelemetry.start_span`."""
+    """Handle returned by :meth:`ParseTelemetry.start_span`; ``depth``
+    is its nesting level in a :class:`TraceTelemetry` (0 elsewhere)."""
 
-    __slots__ = ("name", "depth", "started")
+    __slots__ = ("name", "started", "depth")
 
-    def __init__(self, name: str, depth: int, started: float):
+    def __init__(self, name: str, started: float, depth: int = 0):
         self.name = name
-        self.depth = depth
         self.started = started
+        self.depth = depth
 
 
 # -- metrics -------------------------------------------------------------------------
@@ -613,32 +418,30 @@ class ParseTally:
 class ParseTelemetry:
     """Observability hub threaded through the runtime and cache.
 
-    ``capture_events`` keeps the structured event list (bounded by
-    ``max_events``; overflow increments :attr:`dropped_events` instead of
-    growing).  ``trace_rules`` additionally opens a span per rule
-    invocation — precise but hot, so it is opt-in; synpred speculation
-    spans are always taken (speculation is the expensive path worth
-    timing).  All ``record_*`` entry points (and :attr:`profiler`) are
-    serialized by one lock, so a telemetry shared across threads never
-    drops counts.  A parser reports a whole parse in one
-    :meth:`record_parse` unless :attr:`per_event` asks for each event.
+    It keeps metrics (counters, gauges, histograms) and the
+    per-decision store, nothing else.  ``trace_rules`` additionally opens a span per rule invocation
+    — precise but hot, so it is opt-in; speculations are always timed
+    (speculation is the expensive path worth timing).  All ``record_*``
+    entry points (and :attr:`profiler`) are serialized by one lock, so a
+    telemetry shared across threads never drops counts.  A parser reports
+    a whole parse in one :meth:`record_parse`.
     """
 
-    def __init__(self, capture_events: bool = True, max_events: int = 10_000,
-                 trace_rules: bool = False, clock=time.perf_counter):
+    #: Whether a parser must deliver each prediction and speculation as
+    #: it happens (:meth:`record_predict`, :meth:`start_span`) instead of
+    #: tallying them for :meth:`record_parse`: only where their order is
+    #: observable, as it is in a :class:`TraceTelemetry`.
+    per_event = False
+
+    def __init__(self, trace_rules: bool = False, clock=time.perf_counter):
         self.metrics = MetricsRegistry()
         #: Tables 3-4's per-decision store, fed by :meth:`record_predict`
         #: and :meth:`record_parse`.
         self.profiler = DecisionProfiler()
-        self.events: List[Any] = []
-        self.capture_events = capture_events
-        self.max_events = max_events
         self.trace_rules = trace_rules
-        self.dropped_events = 0
         #: Times spans and speculations (seconds).
         self.clock = clock
         self._lock = self.profiler._lock
-        self._local = threading.local()  # per-thread span nesting depth
         # Labelled metrics by (name, label value or span kind), cached
         # at first use, never before: an unused label exports no sample.
         self._labelled: Dict[Tuple[str, str], Any] = {}
@@ -690,14 +493,7 @@ class ParseTelemetry:
             "llstar_incremental_reused_tokens_total",
             "tokens covered by grafted subtrees")
 
-    # -- event plumbing --------------------------------------------------------
-
-    def _emit(self, event) -> None:
-        """Keep ``event`` (callers build one only when capturing)."""
-        if len(self.events) < self.max_events:
-            self.events.append(event)
-        else:
-            self.dropped_events += 1
+    # -- labelled metrics ------------------------------------------------------
 
     def _count(self, name: str, help: str, label: str, value: str,
                n: int = 1) -> None:
@@ -717,17 +513,6 @@ class ParseTelemetry:
                 key[0], "nested span latency by kind", labels={"kind": kind},
                 buckets=LATENCY_BUCKETS)
         return hist
-
-    def events_by_kind(self, kind: str) -> List[Any]:
-        return [e for e in self.events if e.kind == kind]
-
-    @property
-    def per_event(self) -> bool:
-        """Whether a parser must deliver each prediction and speculation
-        as it happens (:meth:`record_predict`, :meth:`start_span`)
-        instead of tallying them for :meth:`record_parse`: true when
-        their order is observable, as it is in captured events."""
-        return self.capture_events
 
     # -- runtime hooks ---------------------------------------------------------
 
@@ -749,20 +534,14 @@ class ParseTelemetry:
             self._backtracks.value += n
             self._backtrack_depth.observe(backtrack_depth, n)
 
-    def record_predict(self, decision: int, rule_name: str, k: int,
-                       dfa_hit: bool, backtracked: bool, backtrack_depth: int,
-                       index: int, fallbacks: Tuple[str, ...] = ()) -> None:
+    def record_predict(self, decision: int, k: int, dfa_hit: bool,
+                       backtracked: bool, backtrack_depth: int,
+                       fallbacks: Tuple[str, ...] = ()) -> None:
         """One committed prediction.  ``fallbacks`` names why it left the
         DFA (``predicates`` or ``synpred``, and ``degraded``)."""
         with self._lock:
             self._add_predictions(decision, k, dfa_hit, backtracked,
                                   backtrack_depth, fallbacks, 1)
-            if self.capture_events:
-                self._emit(PredictEvent(decision, rule_name, k, dfa_hit,
-                                        backtracked, backtrack_depth, index))
-                for reason in fallbacks:
-                    self._emit(DfaFallbackEvent(decision, rule_name, reason,
-                                                index))
 
     def record_parse(self, tally: ParseTally) -> None:
         """Fold one parse's :class:`ParseTally` in, then clear it.
@@ -795,47 +574,38 @@ class ParseTelemetry:
                     hist.observe(elapsed)
         tally.clear()
 
-    def record_recovery(self, repair: str, rule_name: str, index: int,
-                        skipped: int = 0) -> None:
+    def record_recovery(self, repair: str, skipped: int = 0) -> None:
+        """One error repair: inline ``insert``/``delete``, rule-level
+        ``panic`` resync, or the end-of-parse ``eof-drain``, which threw
+        ``skipped`` tokens away."""
         with self._lock:
             self._count("llstar_recovery_events_total", "error repairs by kind",
                         "kind", repair)
             if skipped:
                 self._recovery_skipped.inc(skipped)
-            if self.capture_events:
-                self._emit(RecoveryEvent(repair, rule_name, index, skipped))
 
-    def record_reuse(self, rule_name: str, start: int, stop: int) -> None:
-        """One subtree graft covering (new) token span ``[start, stop]``."""
-        with self._lock:
-            self._reused_nodes.inc()
-            self._reused_tokens.inc(stop - start + 1)
-            if self.capture_events:
-                self._emit(ReuseEvent(rule_name, start, stop))
-
-    def record_incremental_edit(self, relexed_chars: int, damaged_tokens: int,
-                                shifted_tokens: int, reused_nodes: int,
-                                reused_tokens: int, total_tokens: int) -> None:
+    def record_incremental_edit(self, relexed_chars: int, reused_nodes: int,
+                                reused_tokens: int) -> None:
+        """One applied :meth:`~repro.runtime.incremental.EditSession.edit`:
+        the characters it relexed, and the subtrees (and tokens they
+        cover) its reparse grafted from the previous tree."""
         with self._lock:
             self._incremental_edits.inc()
             self._incremental_relexed.inc(relexed_chars)
-            if self.capture_events:
-                self._emit(IncrementalEditEvent(
-                    relexed_chars, damaged_tokens, shifted_tokens,
-                    reused_nodes, reused_tokens, total_tokens))
+            self._reused_nodes.inc(reused_nodes)
+            self._reused_tokens.inc(reused_tokens)
 
-    def record_cache(self, operation: str, key: str, detail: str = "") -> None:
+    def record_cache(self, op: str) -> None:
+        """One artifact-cache operation: ``hit``, ``miss``, ``save``,
+        ``evict``, or a :class:`~repro.cache.CacheDiagnostic` kind."""
         with self._lock:
             self._count("llstar_cache_events_total", "artifact-cache operations",
-                        "op", operation)
-            if self.capture_events:
-                self._emit(CacheEvent(operation, key, detail))
+                        "op", op)
 
-    def record_degradation(self, event: DegradationEvent) -> None:
+    def record_degradation(self) -> None:
+        """One decision DFA rebuilt at parse time."""
         with self._lock:
             self._degradations.inc()
-            if self.capture_events:
-                self._emit(event)
 
     def observe_stream_window(self, peak: int) -> None:
         with self._lock:
@@ -845,20 +615,14 @@ class ParseTelemetry:
 
     def start_span(self, name: str, index: int = -1) -> _OpenSpan:
         """Open span ``name`` (``kind:detail``) at token ``index``."""
-        local = self._local
-        depth = getattr(local, "depth", 0)
-        local.depth = depth + 1
-        return _OpenSpan(name, depth, self.clock())
+        return _OpenSpan(name, self.clock())
 
     def end_span(self, span: _OpenSpan, index: int = -1,
                  failed: bool = False) -> float:
         """Close ``span`` at token ``index``; ``failed``: it ended in error."""
         elapsed = self.clock() - span.started
-        self._local.depth = span.depth
         with self._lock:
             self._span_seconds(span.name.partition(":")[0]).observe(elapsed)
-            if self.capture_events:
-                self._emit(SpanEvent(span.name, span.depth, elapsed))
         return elapsed
 
     @contextmanager
@@ -882,15 +646,10 @@ class ParseTelemetry:
         return self._dfa_hits.value / total if total else 0.0
 
     def snapshot(self) -> dict:
-        """One JSON-safe document: metrics plus event accounting."""
-        by_kind: Dict[str, int] = {}
-        for event in self.events:
-            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
+        """One JSON-safe document: the metrics and the DFA hit rate."""
         return {
             "metrics": self.metrics.to_json(),
             "dfa_hit_rate": self.dfa_hit_rate,
-            "events": by_kind,
-            "dropped_events": self.dropped_events,
         }
 
     def to_json_text(self, indent: Optional[int] = 2) -> str:
@@ -900,8 +659,8 @@ class ParseTelemetry:
         return self.metrics.to_prometheus()
 
     def __repr__(self):
-        return ("ParseTelemetry(%d events, %d predictions, hit rate %.2f)"
-                % (len(self.events), self._predictions.value, self.dfa_hit_rate))
+        return ("ParseTelemetry(%d predictions, hit rate %.2f)"
+                % (self._predictions.value, self.dfa_hit_rate))
 
 
 class TraceTelemetry(ParseTelemetry):
@@ -911,37 +670,41 @@ class TraceTelemetry(ParseTelemetry):
     ``predict dN k=K [(backtracked)]`` per committed prediction, and
     ``speculate S @i`` / ``end S @j [FAILED]`` per speculation.  The
     transcript interleaves them, so a parser delivers each one as it
-    happens, whether or not events are captured."""
+    happens.  Nesting depth is per thread: parses sharing one trace do
+    not push each other's spans deeper."""
 
     per_event = True
 
-    def __init__(self, **kwargs):
-        super().__init__(trace_rules=True, **kwargs)
+    def __init__(self, clock=time.perf_counter):
+        super().__init__(trace_rules=True, clock=clock)
         self.lines: List[str] = []
+        self._local = threading.local()  # per-thread span nesting depth
 
     def _line(self, depth: int, text: str) -> None:
         self.lines.append("  " * depth + text)
 
     def start_span(self, name: str, index: int = -1) -> _OpenSpan:
-        span = super().start_span(name, index)
+        local = self._local
+        depth = getattr(local, "depth", 0)
+        local.depth = depth + 1
         kind, _, what = name.partition(":")
         if kind in _TRACE_VERBS:
-            self._line(span.depth, "%s %s @%d" % (_TRACE_VERBS[kind][0], what,
-                                                  index))
-        return span
+            self._line(depth, "%s %s @%d" % (_TRACE_VERBS[kind][0], what, index))
+        return _OpenSpan(name, self.clock(), depth)
 
     def end_span(self, span: _OpenSpan, index: int = -1,
                  failed: bool = False) -> float:
         elapsed = super().end_span(span, index, failed)
+        self._local.depth = span.depth
         kind, _, what = span.name.partition(":")
         if kind in _TRACE_VERBS:
             self._line(span.depth, "%s %s @%d%s" % (
                 _TRACE_VERBS[kind][1], what, index, " FAILED" if failed else ""))
         return elapsed
 
-    def record_predict(self, decision: int, rule_name: str, k: int,
-                       dfa_hit: bool, backtracked: bool, *rest) -> None:
-        super().record_predict(decision, rule_name, k, dfa_hit, backtracked, *rest)
+    def record_predict(self, decision: int, k: int, dfa_hit: bool,
+                       backtracked: bool, *rest) -> None:
+        super().record_predict(decision, k, dfa_hit, backtracked, *rest)
         self._line(getattr(self._local, "depth", 0), "predict d%d k=%d%s" % (
             decision, k, " (backtracked)" if backtracked else ""))
 

@@ -35,6 +35,9 @@ HALF_OPEN = "half-open"
 #: Gauge encoding for /metrics (one number per state).
 STATE_CODES = {CLOSED: 0, OPEN: 1, HALF_OPEN: 2}
 
+#: Concurrent requests a half-open circuit admits as probes.
+HALF_OPEN_PROBES = 1
+
 
 class CircuitBreaker:
     """Consecutive-failure breaker guarding one grammar.
@@ -43,25 +46,22 @@ class CircuitBreaker:
         Consecutive resource failures that open the circuit.
     ``cooldown``
         Seconds the circuit stays open before probing.
-    ``half_open_probes``
-        Concurrent requests admitted while half-open; the rest are
-        rejected until a probe settles.
+
+    While half-open it admits :data:`HALF_OPEN_PROBES` concurrent
+    requests; the rest are rejected until a probe settles.
     """
 
     def __init__(self, name: str = "", threshold: int = 5,
-                 cooldown: float = 5.0, half_open_probes: int = 1,
+                 cooldown: float = 5.0,
                  clock: Callable[[], float] = time.monotonic,
                  on_transition: Optional[Callable[[str, str, str], None]] = None):
         if threshold < 1:
             raise ValueError("threshold must be >= 1")
         if cooldown < 0:
             raise ValueError("cooldown must be >= 0")
-        if half_open_probes < 1:
-            raise ValueError("half_open_probes must be >= 1")
         self.name = name
         self.threshold = threshold
         self.cooldown = cooldown
-        self.half_open_probes = half_open_probes
         self._clock = clock
         self._on_transition = on_transition
         self._lock = threading.Lock()
@@ -114,7 +114,7 @@ class CircuitBreaker:
             state = self._effective_state()
             if state == CLOSED:
                 return
-            if state == HALF_OPEN and self._probes < self.half_open_probes:
+            if state == HALF_OPEN and self._probes < HALF_OPEN_PROBES:
                 self._probes += 1
                 return
             raise CircuitOpenError(

@@ -106,7 +106,7 @@ class GrammarRegistry:
     def _note(self, kind: str, name: str, detail: str) -> None:
         self.diagnostics.append(CacheDiagnostic(kind, name, detail))
         if self.telemetry is not None:
-            self.telemetry.record_cache("registry-" + kind, name, detail)
+            self.telemetry.record_cache("registry-" + kind)
             self.telemetry.metrics.counter(
                 "llstar_serve_registry_events_total",
                 "registry artifact-health events",

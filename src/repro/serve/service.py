@@ -53,6 +53,18 @@ from repro.serve.worker import ParseTask
 RESOURCE_FAILURES = frozenset(
     ["BudgetExceededError", "WorkerCrashError", "RecursionError"])
 
+#: Seconds a client is told to wait (``Retry-After``) when the service
+#: is draining or a worker died; a shed request's hint scales from it.
+RETRY_AFTER = 1.0
+
+#: Whether a request that does not say ``recover`` is parsed with error
+#: recovery (syntax errors come back as ``ok: false``, status 200).
+RECOVER_DEFAULT = True
+
+#: Base resource limits applied to every request; the per-request
+#: absolute deadline is clamped in on top of these.
+BUDGET = ParserBudget.defensive(deadline_seconds=None)
+
 
 class ServiceConfig:
     """Tunables for one service instance (all have serving defaults)."""
@@ -65,12 +77,8 @@ class ServiceConfig:
                  default_deadline: float = 10.0,
                  breaker_threshold: int = 5,
                  breaker_cooldown: float = 5.0,
-                 half_open_probes: int = 1,
                  max_body_bytes: int = 1 << 20,
                  drain_deadline: float = 10.0,
-                 retry_after: float = 1.0,
-                 recover_default: bool = True,
-                 budget: Optional[ParserBudget] = None,
                  cache_dir: Optional[str] = None,
                  max_hosts: Optional[int] = None):
         if jobs < 0:
@@ -84,15 +92,8 @@ class ServiceConfig:
         self.default_deadline = default_deadline
         self.breaker_threshold = breaker_threshold
         self.breaker_cooldown = breaker_cooldown
-        self.half_open_probes = half_open_probes
         self.max_body_bytes = max_body_bytes
         self.drain_deadline = drain_deadline
-        self.retry_after = retry_after
-        self.recover_default = recover_default
-        # Base resource limits applied to every request; the per-request
-        # absolute deadline is clamped in on top of these.
-        self.budget = budget if budget is not None else ParserBudget.defensive(
-            deadline_seconds=None)
         self.cache_dir = cache_dir
         self.max_hosts = max_hosts
 
@@ -130,7 +131,7 @@ class ParseRequest:
         rule = doc.get("rule")
         if rule is not None and not isinstance(rule, str):
             raise BadRequestError("'rule' must be a string when present")
-        recover = doc.get("recover", config.recover_default)
+        recover = doc.get("recover", RECOVER_DEFAULT)
         if not isinstance(recover, bool):
             raise BadRequestError("'recover' must be a boolean")
         tree = doc.get("tree", False)
@@ -179,7 +180,7 @@ class ParseService:
                  telemetry: Optional[ParseTelemetry] = None,
                  chaos=None, clock=time.monotonic):
         self.config = config or ServiceConfig()
-        self.telemetry = telemetry or ParseTelemetry(capture_events=False)
+        self.telemetry = telemetry or ParseTelemetry()
         self.metrics = self.telemetry.metrics
         self.registry = registry or GrammarRegistry(
             cache_dir=self.config.cache_dir, max_hosts=self.config.max_hosts,
@@ -191,7 +192,7 @@ class ParseService:
         self.admission = AdmissionController(
             max_concurrency=self.config.max_concurrency,
             queue_limit=self.config.queue_limit,
-            retry_after=self.config.retry_after, clock=clock)
+            retry_after=RETRY_AFTER, clock=clock)
         self.breakers: Dict[str, CircuitBreaker] = {}
         self.draining = False
         self.started_at = time.monotonic()
@@ -248,9 +249,8 @@ class ParseService:
         if breaker is None:
             breaker = self.breakers[grammar] = CircuitBreaker(
                 name=grammar, threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-                half_open_probes=self.config.half_open_probes,
-                clock=self._clock, on_transition=self._on_breaker_transition)
+                cooldown=self.config.breaker_cooldown, clock=self._clock,
+                on_transition=self._on_breaker_transition)
         return breaker
 
     def _on_breaker_transition(self, name: str, frm: str, to: str) -> None:
@@ -273,7 +273,7 @@ class ParseService:
         request = ParseRequest.from_body(body, self.config)
         if self.draining:
             raise DrainingError("service is draining; try another replica",
-                                retry_after=self.config.retry_after)
+                                retry_after=RETRY_AFTER)
         # One absolute deadline for the request's whole life: queue wait,
         # lex, parse, and recovery all race the same clamped instant.  It
         # lives on the service clock, like admission and the breakers.
@@ -303,7 +303,7 @@ class ParseService:
                 task = ParseTask(
                     request_id, request.text, rule_name=request.rule,
                     recover=request.recover,
-                    budget=self.config.budget.with_deadline_at(parse_deadline),
+                    budget=BUDGET.with_deadline_at(parse_deadline),
                     want_tree=request.tree, chaos=self.chaos)
                 outcome = await self._pool.run(grammar, host, task)
             finally:
@@ -351,7 +351,7 @@ class ParseService:
             body.update(error_type=outcome["error_type"],
                         error=outcome["error"])
             return Response(503, body,
-                            retry_after=self.config.retry_after)
+                            retry_after=RETRY_AFTER)
         if outcome["error_type"] is not None:  # recognition/lex failure
             body.update(error_type=outcome["error_type"],
                         error=outcome["error"])
@@ -389,7 +389,7 @@ class ParseService:
     def _handle_ready(self) -> Response:
         if self.draining:
             return Response(503, {"status": "draining"},
-                            retry_after=self.config.retry_after)
+                            retry_after=RETRY_AFTER)
         return Response(200, {
             "status": "ready",
             "degraded": self.degraded,

@@ -57,8 +57,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache", metavar="DIR",
                        help="compiled-artifact cache directory: warm starts "
                             "skip static analysis (safe to delete anytime)")
-        p.add_argument("--parallel", type=int, metavar="N",
-                       help="analyze decisions on N threads (cold compiles)")
 
     def add_metrics(p):
         p.add_argument("--metrics-out", metavar="FILE",
@@ -270,7 +268,6 @@ def _load_host(args, telemetry=None):
     options = AnalysisOptions(max_recursion_depth=args.max_recursion)
     return compile_grammar(text, options=options,
                            cache_dir=getattr(args, "cache", None),
-                           parallel=getattr(args, "parallel", None),
                            telemetry=telemetry)
 
 
@@ -309,7 +306,7 @@ def cmd_analyze(args) -> int:
     print(result.summary())
     print()
     print("%-6s %-20s %-10s %-12s %s" % ("dec", "rule", "kind", "category", "k"))
-    for r in result.records:
+    for r in result.classified():
         print("%-6d %-20s %-10s %-12s %s"
               % (r.decision, r.rule_name, r.kind, r.category,
                  r.fixed_k if r.fixed_k is not None else "-"))
@@ -379,8 +376,7 @@ def cmd_batch(args) -> int:
         text,
         options=AnalysisOptions(max_recursion_depth=args.max_recursion),
         jobs=args.jobs, chunk_size=args.chunk_size, rule_name=args.rule,
-        budget=budget, recover=args.recover, cache_dir=args.cache,
-        parallel=args.parallel)
+        budget=budget, recover=args.recover, cache_dir=args.cache)
     report = engine.run_paths(args.inputs)
     if args.metrics_out:
         # MetricsRegistry exports the same way ParseTelemetry does.

@@ -48,7 +48,7 @@ class SuiteReport:
             host = bench.compile()
             self.static[name] = (bench, host.analysis)
             text = bench.generate_program(self.units, seed=self.seed)
-            telemetry = ParseTelemetry(capture_events=False)
+            telemetry = ParseTelemetry()
             started = time.perf_counter()
             host.parse(text, options=ParserOptions(telemetry=telemetry))
             elapsed = time.perf_counter() - started

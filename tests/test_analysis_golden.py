@@ -1,8 +1,8 @@
 """Golden analysis output: the suite grammars' analyses, byte for byte.
 
-The table≡DFA sweep and the serial≡parallel check compare the analyzer
-only with itself, so a change to Algorithms 8-11 that shifts the
-lookahead DFAs, gates, or diagnostics would pass both.  This test pins
+The table≡DFA sweep compares the analyzer only with itself, so a
+change to Algorithms 8-11 that shifts the lookahead DFAs, gates, or
+diagnostics would pass it.  This test pins
 the sha256 of each suite grammar's serialized
 :class:`~repro.analysis.decisions.AnalysisResult` (timing zeroed).  A
 deliberate change to analysis output must update the digests here, and

@@ -107,7 +107,7 @@ class TestBatchEngine:
         """Deterministic fixture: the corpus-merged registry must equal a
         single-process replay of the same inputs, metric for metric."""
         report = parse_corpus(GRAMMAR, GOOD, jobs=2, chunk_size=3)
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         profiler = telemetry.profiler
         host = BatchEngine(GRAMMAR, jobs=0).host
         for _, text in GOOD:

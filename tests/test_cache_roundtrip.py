@@ -88,8 +88,8 @@ class TestRoundTrip:
 
     def test_sample_parse_tree_and_profile_identical(self, pair):
         bench, cold, warm = pair
-        pc = ParseTelemetry(capture_events=False)
-        pw = ParseTelemetry(capture_events=False)
+        pc = ParseTelemetry()
+        pw = ParseTelemetry()
         tc = cold.parse(bench.sample, options=ParserOptions(telemetry=pc))
         tw = warm.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
@@ -98,8 +98,8 @@ class TestRoundTrip:
     def test_generated_workload_identical(self, pair):
         bench, cold, warm = pair
         program = bench.generate_program(6, seed=3)
-        pc = ParseTelemetry(capture_events=False)
-        pw = ParseTelemetry(capture_events=False)
+        pc = ParseTelemetry()
+        pw = ParseTelemetry()
         tc = cold.parse(program, options=ParserOptions(telemetry=pc))
         tw = warm.parse(program, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()

@@ -151,8 +151,8 @@ class TestWarmStart:
         warm = repro.compile_grammar(bench.grammar_text, cache_dir=str(tmp_path))
         assert warm.from_cache
         assert DecisionAnalyzer.invocations == before
-        pc = ParseTelemetry(capture_events=False)
-        pw = ParseTelemetry(capture_events=False)
+        pc = ParseTelemetry()
+        pw = ParseTelemetry()
         tc = cold.parse(bench.sample, options=ParserOptions(telemetry=pc))
         tw = warm.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()
@@ -257,10 +257,11 @@ class TestDegradedWarmStart:
         with pytest.warns(UserWarning):
             host = repro.compile_grammar(GRAMMAR, cache_dir=str(tmp_path))
         telemetry = ParseTelemetry()
-        tree = host.parse("a c", options=ParserOptions(telemetry=telemetry))
-        assert tree is not None
-        (event,) = telemetry.events_by_kind("degradation")
+        parser = host.parser("a c", options=ParserOptions(telemetry=telemetry))
+        assert parser.parse() is not None
+        (event,) = parser.degradations
         assert event.decision == 0
+        assert telemetry.metrics.value("llstar_degradations_total") == 1
         # The rebuilt table was installed: the record is whole again.
         assert host.degraded_decisions == []
         assert host.analysis.records[0].table.start >= 0
@@ -302,6 +303,84 @@ class TestDegradedWarmStart:
         cold = repro.compile_grammar(GRAMMAR)
         assert degraded.parse("a b").to_sexpr() == cold.parse("a b").to_sexpr()
         assert degraded.parse("a c").to_sexpr() == cold.parse("a c").to_sexpr()
+
+
+FIG1_GRAMMAR = r"""
+    grammar Fig1;
+    s : ID | ID '=' expr | 'unsigned'* 'int' ID | 'unsigned'* ID ID ;
+    expr : INT ;
+    ID : [a-zA-Z_] [a-zA-Z0-9_]* ;
+    INT : [0-9]+ ;
+    WS : [ \t\r\n]+ -> skip ;
+"""
+
+
+def _without_degraded_lines(text):
+    return [line for line in text.splitlines() if "[degraded]" not in line]
+
+
+class TestDegradedClassification:
+    """A degraded decision is classified from the table it is rebuilt
+    into, never guessed: Figure 1's cyclic decision 0, salvaged without
+    its table, must still count as cyclic in every aggregate."""
+
+    def _salvaged(self, grammar_text):
+        from repro.analysis.decisions import AnalysisResult, GrammarAnalyzer
+        from repro.grammar.meta_parser import parse_grammar
+
+        cold = repro.compile_grammar(grammar_text)
+        payload = cold.analysis.to_dict()
+        payload["records"][0]["table"]["edge_index"] = [0]
+        grammar = parse_grammar(grammar_text)
+        atn = GrammarAnalyzer(grammar).prepare_atn()
+        salvaged = AnalysisResult.from_dict(grammar, atn, payload)
+        assert salvaged.records[0].degraded
+        return cold, salvaged
+
+    def test_salvaged_result_summarises_like_the_cold_one(self):
+        cold, salvaged = self._salvaged(FIG1_GRAMMAR)
+        # The salvaged result keeps one extra line: its degraded diagnostic.
+        assert _without_degraded_lines(salvaged.summary()) \
+            == cold.analysis.summary().splitlines()
+        assert salvaged.count("cyclic") == 1
+        assert salvaged.fixed_k_histogram() == cold.analysis.fixed_k_histogram()
+
+    def test_salvaged_backtracking_decision_counts_in_table4(self):
+        from repro.runtime.profiler import DecisionProfiler
+
+        cold, salvaged = self._salvaged(FIG2_GRAMMAR)
+        report = DecisionProfiler().report(salvaged)
+        assert report.can_backtrack_decisions \
+            == DecisionProfiler().report(cold.analysis).can_backtrack_decisions \
+            == {0}
+
+    def test_analyze_of_a_damaged_image_matches_a_cold_analyze(
+            self, tmp_path, capsys):
+        from repro.tools.cli import main
+
+        grammar = tmp_path / "fig1.g"
+        grammar.write_text(FIG1_GRAMMAR)
+        cache = tmp_path / "cache"
+        host = repro.compile_grammar(FIG1_GRAMMAR)
+        payload = artifact_to_dict(host.grammar, host.analysis,
+                                   host.lexer_spec,
+                                   grammar_fingerprint(FIG1_GRAMMAR))
+        # A checksummed image is decoded without the structural sweep,
+        # so damage that must degrade the record is an unloadable table.
+        payload["analysis"]["records"][0]["table"] = {"flipped": "bits"}
+        assert ArtifactStore(str(cache)).save(
+            artifact_key(FIG1_GRAMMAR, None, None), payload, FIG1_GRAMMAR)
+
+        assert main(["analyze", str(grammar)]) == 0
+        cold = capsys.readouterr().out
+        with pytest.warns(UserWarning, match="partially corrupt"):
+            assert main(["analyze", str(grammar), "--cache", str(cache)]) == 0
+        warm = capsys.readouterr().out
+        # A warm analyze reports the analysis time stored in the image.
+        cold, warm = ([line for line in _without_degraded_lines(out)
+                       if "analysis time" not in line] for out in (cold, warm))
+        assert warm == cold
+        assert "  cyclic:      1 (33.3%)" in warm
 
 
 K1_GRAMMAR = """

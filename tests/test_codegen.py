@@ -166,7 +166,7 @@ class TestEquivalence:
             WS : [ ]+ -> skip ;
         """)
         _source, cls = load_parser(host)
-        tel = ParseTelemetry(capture_events=False)
+        tel = ParseTelemetry()
         cls(host.tokenize("a b a"), telemetry=tel).parse()
         assert tel.profiler.total_events > 0
 

@@ -46,8 +46,8 @@ def test_generated_parser_matches_interpreter(name):
     cls = load_generated(host)
     for source_text in (bench.sample, bench.generate_program(6, seed=13),
                         bench.generate_program(6, seed=1)):
-        interp_tel = ParseTelemetry(capture_events=False)
-        generated_tel = ParseTelemetry(capture_events=False)
+        interp_tel = ParseTelemetry()
+        generated_tel = ParseTelemetry()
         expected = host.parse(source_text,
                               options=ParserOptions(telemetry=interp_tel))
         actual = cls(host.tokenize(source_text),

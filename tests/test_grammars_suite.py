@@ -63,7 +63,7 @@ class TestSuiteGrammars:
     def test_profile_avg_k_small(self, bench):
         """Table 3: runtime average lookahead is one-or-two tokens."""
         host = bench.compile()
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         host.parse(bench.generate_program(10, seed=11),
                    options=ParserOptions(telemetry=telemetry))
         report = telemetry.report(host.analysis)

@@ -238,10 +238,28 @@ class TestReuse:
         assert m.value("llstar_incremental_relexed_chars_total") >= 1
         assert m.value("llstar_incremental_reused_nodes_total") >= 1
         assert m.value("llstar_incremental_reused_tokens_total") >= 1
-        edits = telemetry.events_by_kind("incremental-edit")
-        assert len(edits) == 1 and edits[0].to_dict()["relexed_chars"] >= 1
-        grafts = telemetry.events_by_kind("reuse")
-        assert grafts and all(g.stop >= g.start for g in grafts)
+        # Each counter holds exactly what the session's own record says.
+        assert m.value("llstar_incremental_relexed_chars_total") \
+            == s.stats.relexed_chars
+        assert m.value("llstar_incremental_reused_nodes_total") \
+            == s.stats.reused_nodes
+        assert m.value("llstar_incremental_reused_tokens_total") \
+            == s.stats.reused_tokens
+
+    def test_a_failed_edit_counts_no_grafts(self, host):
+        telemetry = ParseTelemetry()
+        s = EditSession(host, TEXT, recover=False, telemetry=telemetry)
+        # Break the last statement: the reparse grafts the first two,
+        # then fails.
+        eq = s.text.rindex("=")
+        with pytest.raises(RecognitionError):
+            s.edit(eq, eq + 1, "+")
+        m = telemetry.metrics
+        assert m.value("llstar_incremental_edits_total") == 0
+        assert m.value("llstar_incremental_reused_nodes_total") == 0
+        assert m.value("llstar_incremental_reused_tokens_total") == 0
+        s.edit(eq, eq + 1, "=")
+        assert m.value("llstar_incremental_edits_total") == 1
 
 
 class TestErrorsAndFailure:
@@ -407,8 +425,9 @@ class TestLazyClassification:
         h.analysis.records[0] = degraded
         assert degraded.degraded
         # Asking a degraded record its category must not pin an answer
-        # the rebuilt table would contradict.
-        _ = degraded.category
+        # the rebuilt table would contradict: it has no shape to read.
+        with pytest.raises(ValueError, match="degraded"):
+            _ = degraded.category
         assert degraded._category is None
         h.analysis.decision_table(0)
         assert not degraded.degraded

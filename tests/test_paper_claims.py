@@ -57,7 +57,7 @@ class TestIntroductionClaims:
         """, options=AnalysisOptions(max_recursion_depth=1))
 
         def depth_and_backtracks(text):
-            p = ParseTelemetry(capture_events=False)
+            p = ParseTelemetry()
             host.parse(text, options=ParserOptions(telemetry=p))
             stats = p.profiler.stats[0]
             return stats.max_depth, stats.backtrack_events
@@ -130,7 +130,7 @@ class TestConclusionClaims:
 
         bench = load("java")
         host = bench.compile()
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         host.parse(bench.generate_program(15, seed=99),
                    options=ParserOptions(telemetry=telemetry))
         report = telemetry.report(host.analysis)

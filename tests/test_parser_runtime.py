@@ -324,7 +324,7 @@ class TestMemoization:
 
 class TestProfilerIntegration:
     def test_decision_events_recorded(self, simple):
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         simple.parse("x = 1 ;", options=ParserOptions(telemetry=telemetry))
         report = telemetry.report()
         assert report.total_events >= 1
@@ -340,7 +340,7 @@ class TestProfilerIntegration:
             INT : [0-9]+ ;
             WS : [ ]+ -> skip ;
         """, options=AnalysisOptions(max_recursion_depth=1))
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         host.parse("- - - 5", options=ParserOptions(telemetry=telemetry))
         report = telemetry.report(host.analysis)
         assert report.avg_backtrack_k > 0

@@ -77,7 +77,7 @@ def prediction_digests(name: str) -> dict:
     ``name`` parsing its Table 3 input."""
     bench = load(name)
     host = bench.compile()
-    telemetry = ParseTelemetry(capture_events=False)
+    telemetry = ParseTelemetry()
     host.parse(bench.generate_program(UNITS, seed=SEED),
                options=ParserOptions(telemetry=telemetry))
     stats = [[d, s.events, s.sum_depth, s.max_depth, s.backtrack_events,

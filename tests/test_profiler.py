@@ -48,6 +48,9 @@ class _FakeAnalysis:
     def __init__(self, records):
         self.records = records
 
+    def classified(self):
+        return self.records
+
 
 class TestProfileReportMath:
     def test_table3_columns(self):
@@ -114,8 +117,8 @@ class TestProfileReportMath:
         for decision, k, bt, bd in ((0, 1, False, 0), (0, 3, False, 0),
                                     (1, 2, True, 4), (1, 2, True, 6),
                                     (2, 1, False, 0)):
-            tel.record_predict(decision, "r", k, dfa_hit=not bt,
-                               backtracked=bt, backtrack_depth=bd, index=0)
+            tel.record_predict(decision, k, dfa_hit=not bt,
+                               backtracked=bt, backtrack_depth=bd)
         report = profiler.report()
         k_hist = tel.metrics.get("llstar_realized_k")
         assert k_hist.count == report.total_events
@@ -128,8 +131,8 @@ class TestProfileReportMath:
     def test_exported_json_carries_the_same_numbers(self):
         tel = ParseTelemetry()
         for k in (1, 3, 2, 2, 1):
-            tel.record_predict(0, "r", k, dfa_hit=True, backtracked=False,
-                               backtrack_depth=0, index=0)
+            tel.record_predict(0, k, dfa_hit=True, backtracked=False,
+                               backtrack_depth=0)
         doc = tel.metrics.to_json()["llstar_realized_k"]
         (sample,) = doc["samples"]
         assert sample["count"] == 5

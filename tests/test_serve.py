@@ -28,7 +28,7 @@ from repro.serve import (
     handle_line,
     serve_http,
 )
-from repro.serve.service import Response
+from repro.serve.service import RECOVER_DEFAULT, Response
 
 EXPR = """
 grammar Expr;
@@ -98,8 +98,7 @@ class TestCircuitBreaker:
 
     def test_cooldown_moves_to_half_open_with_bounded_probes(self):
         clock = FakeClock()
-        b = CircuitBreaker(threshold=1, cooldown=5.0, half_open_probes=1,
-                           clock=clock)
+        b = CircuitBreaker(threshold=1, cooldown=5.0, clock=clock)
         b.record_failure()
         clock.advance(5.0)
         assert b.state == HALF_OPEN
@@ -356,7 +355,7 @@ class TestParseRequest:
     def test_accepts_minimal(self):
         req = ParseRequest.from_body(self.good(), self.CONFIG)
         assert (req.grammar, req.text) == ("g", "x")
-        assert req.recover is self.CONFIG.recover_default
+        assert req.recover is RECOVER_DEFAULT
 
     @pytest.mark.parametrize("body", [
         b"", b"not json", b"[1,2]", b'"str"',

@@ -296,7 +296,7 @@ class TestConcurrentSessions:
         fresh streams."""
         from repro.runtime.telemetry import ParseTelemetry
 
-        telemetry = ParseTelemetry(capture_events=False)
+        telemetry = ParseTelemetry()
         for _ in range(reps):
             stream = StreamingTokenStream(token_source(host, text),
                                           telemetry=telemetry)

@@ -80,9 +80,8 @@ class GraphWalkingParser(LLStarParser):
         finally:
             tel = self._telemetry
             if tel is not None and not self.speculating:
-                tel.record_predict(decision, record.rule_name, max(offset, 1),
-                                   not gated, backtracked, backtrack_depth,
-                                   self.stream.index)
+                tel.record_predict(decision, max(offset, 1), not gated,
+                                   backtracked, backtrack_depth)
 
 
 @pytest.fixture(scope="module", params=PAPER_ORDER)
@@ -147,7 +146,7 @@ class TestPredictionEquivalence:
     def _parse_both(self, host, dfas, text):
         trees, events = [], []
         for make in (LLStarParser, lambda *args: GraphWalkingParser(*args, dfas)):
-            telemetry = ParseTelemetry(capture_events=False)
+            telemetry = ParseTelemetry()
             opts = ParserOptions(telemetry=telemetry)
             parser = make(host.analysis, host.tokenize(text), opts)
             trees.append(parser.parse())
@@ -201,8 +200,8 @@ class TestMmapEquivalence:
             assert not warm.degraded
 
     def test_sample_parses_identically(self, mmap_host, host, bench):
-        pc = ParseTelemetry(capture_events=False)
-        pw = ParseTelemetry(capture_events=False)
+        pc = ParseTelemetry()
+        pw = ParseTelemetry()
         tc = host.parse(bench.sample, options=ParserOptions(telemetry=pc))
         tw = mmap_host.parse(bench.sample, options=ParserOptions(telemetry=pw))
         assert tc.to_sexpr() == tw.to_sexpr()

@@ -1,10 +1,11 @@
-"""The prediction observability layer: events, metrics, exporters, wiring.
+"""The prediction observability layer: metrics, spans, traces, wiring.
 
 The telemetry subsystem mirrors the instrumentation behind the paper's
 Tables 2-4 as production metrics: every adaptive prediction lands in the
 realized-k histogram and the DFA-hit/ATN-fallback counters, every error
-repair and cache operation is a structured event, and the whole registry
-exports as JSON and Prometheus text.
+repair and cache operation in a labelled counter (the repair or cache
+entry itself stays with its owner), and the whole registry exports as
+JSON and Prometheus text.
 """
 
 import json
@@ -20,9 +21,9 @@ from repro.runtime.telemetry import (
     Histogram,
     MetricsRegistry,
     ParseTelemetry,
-    PredictEvent,
     TraceTelemetry,
 )
+from repro.runtime.trees import ErrorNode
 
 SIMPLE = r"""
     grammar Simple;
@@ -143,25 +144,11 @@ class TestMetricsRegistry:
 
 
 class TestParseTelemetry:
-    def test_event_list_is_bounded_with_drop_counter(self):
-        tel = ParseTelemetry(max_events=3)
-        for i in range(5):
-            tel.record_predict(0, "s", 1, True, False, 0, i)
-        assert len(tel.events) == 3
-        assert tel.dropped_events == 2
-        assert tel.metrics.value("llstar_predictions_total") == 5  # metrics never drop
-
-    def test_capture_events_off_keeps_metrics(self):
-        tel = ParseTelemetry(capture_events=False)
-        tel.record_predict(0, "s", 2, False, True, 3, 0)
-        assert tel.events == []
-        assert tel.metrics.value("llstar_predictions_total") == 1
-
     def test_dfa_hit_rate(self):
         tel = ParseTelemetry()
-        tel.record_predict(0, "s", 1, True, False, 0, 0)
-        tel.record_predict(0, "s", 1, True, False, 0, 1)
-        tel.record_predict(1, "t", 2, False, True, 2, 2)
+        tel.record_predict(0, 1, True, False, 0)
+        tel.record_predict(0, 1, True, False, 0)
+        tel.record_predict(1, 2, False, True, 2)
         assert tel.dfa_hit_rate == pytest.approx(2 / 3)
 
     def test_spans_nest_and_aggregate(self):
@@ -169,27 +156,47 @@ class TestParseTelemetry:
         with tel.span("rule:outer"):
             with tel.span("synpred:inner"):
                 pass
-        spans = tel.events_by_kind("span")
-        assert [s.name for s in spans] == ["synpred:inner", "rule:outer"]
-        assert spans[0].depth == 1 and spans[1].depth == 0
-        hist = tel.metrics.get("llstar_span_seconds", {"kind": "rule"})
-        assert hist.count == 1
+        for kind in ("rule", "synpred"):
+            assert tel.metrics.get("llstar_span_seconds",
+                                   {"kind": kind}).count == 1
+        # A trace shows the nesting: the inner span opens and closes
+        # one level deeper, inside the outer one.
+        trace = TraceTelemetry()
+        with trace.span("rule:outer"):
+            with trace.span("synpred:inner"):
+                pass
+        assert trace.lines == ["enter outer @-1", "  speculate inner @-1",
+                               "  end inner @-1", "exit outer @-1"]
+        assert trace.metrics.get("llstar_span_seconds",
+                                 {"kind": "rule"}).count == 1
 
     def test_snapshot_is_json_safe(self):
         tel = ParseTelemetry()
-        tel.record_recovery("panic", "s", 4, skipped=2)
-        tel.record_cache("hit", "abc123")
+        tel.record_recovery("panic", 2)
+        tel.record_cache("hit")
         doc = json.loads(tel.to_json_text())
-        assert doc["events"] == {"recovery": 1, "cache": 1}
-        assert doc["dropped_events"] == 0
+        assert set(doc) == {"metrics", "dfa_hit_rate"}
+        metrics = doc["metrics"]
+        assert metrics["llstar_recovery_events_total"]["samples"] == [
+            {"labels": {"kind": "panic"}, "value": 1}]
+        assert metrics["llstar_recovery_tokens_skipped_total"]["samples"] == [
+            {"labels": {}, "value": 2}]
+        assert metrics["llstar_cache_events_total"]["samples"] == [
+            {"labels": {"op": "hit"}, "value": 1}]
+
+    def test_removed_options_are_rejected(self):
+        for removed in ({"capture_events": False}, {"max_events": 10}):
+            with pytest.raises(TypeError):
+                ParseTelemetry(**removed)
+        assert not ParseTelemetry().per_event and TraceTelemetry().per_event
 
     def test_shared_across_threads_loses_nothing(self):
-        tel = ParseTelemetry(capture_events=False)
+        tel = ParseTelemetry()
         n, per = 8, 2000
 
         def hammer():
-            for i in range(per):
-                tel.record_predict(0, "s", 1, True, False, 0, i)
+            for _ in range(per):
+                tel.record_predict(0, 1, True, False, 0)
 
         threads = [threading.Thread(target=hammer) for _ in range(n)]
         for t in threads:
@@ -201,7 +208,8 @@ class TestParseTelemetry:
     def test_span_depth_is_per_thread(self):
         """Regression: span nesting depth lived on the shared telemetry,
         so threads parsing concurrently pushed each other's spans deeper
-        and a span opened afterwards no longer started at depth 0."""
+        and a span opened afterwards no longer started at depth 0.  A
+        trace's indentation is its span depth."""
         import sys
 
         from repro.grammars import load
@@ -210,15 +218,17 @@ class TestParseTelemetry:
         host = bench.compile()
         text = bench.generate_program(10, seed=3)
 
-        def span_depths(tel):
-            return [s.depth for s in tel.events_by_kind("span")]
+        def span_depths(trace):
+            return [(len(line) - len(line.lstrip(" "))) // 2
+                    for line in trace.lines
+                    if not line.lstrip(" ").startswith("predict ")]
 
-        alone = ParseTelemetry(max_events=200_000)
+        alone = TraceTelemetry()
         host.parse(text, options=ParserOptions(build_tree=False,
                                                telemetry=alone))
         deepest = max(span_depths(alone))
 
-        shared = ParseTelemetry(max_events=200_000)
+        shared = TraceTelemetry()
         threads = [threading.Thread(target=host.parse, args=(text,), kwargs={
             "options": ParserOptions(build_tree=False, telemetry=shared)})
             for _ in range(4)]
@@ -234,9 +244,11 @@ class TestParseTelemetry:
         assert not any(t.is_alive() for t in threads)
         assert shared.metrics.value("llstar_synpred_invocations_total") == \
             4 * alone.metrics.value("llstar_synpred_invocations_total")
+        assert len(span_depths(shared)) == 4 * len(span_depths(alone))
         assert max(span_depths(shared)) <= deepest
-        with shared.span("compile:after") as handle:
-            assert handle.depth == 0
+        with shared.span("rule:after"):
+            pass
+        assert shared.lines[-2:] == ["enter after @-1", "exit after @-1"]
 
 
 # -- runtime wiring -------------------------------------------------------------------
@@ -247,8 +259,8 @@ class TestParserWiring:
         tel = ParseTelemetry()
         simple.parse("x = 42 ;", options=ParserOptions(telemetry=tel))
         profiler = tel.profiler
-        events = tel.events_by_kind("predict")
-        assert events and all(isinstance(e, PredictEvent) for e in events)
+        assert tel.metrics.value("llstar_predictions_total") \
+            == profiler.total_events > 0
         hist = tel.metrics.get("llstar_realized_k")
         # The registry and the per-decision store see the same predictions.
         assert hist.count == profiler.total_events
@@ -260,22 +272,24 @@ class TestParserWiring:
         syn.parse("- - 5 ;", options=ParserOptions(telemetry=tel))
         assert tel.metrics.value("llstar_atn_fallbacks_total") > 0
         assert tel.metrics.value("llstar_synpred_invocations_total") > 0
-        reasons = {e.reason for e in tel.events_by_kind("dfa-fallback")}
-        assert "synpred" in reasons
+        assert tel.metrics.value("llstar_fallback_reasons_total",
+                                 {"reason": "synpred"}) > 0
         assert tel.metrics.value("llstar_backtrack_events_total") > 0
         assert tel.metrics.get("llstar_backtrack_depth").count > 0
-        # speculation spans are always timed
-        assert any(s.name.startswith("synpred:")
-                   for s in tel.events_by_kind("span"))
+        # speculations are always timed, one observation each
+        assert tel.metrics.get("llstar_span_seconds",
+                               {"kind": "synpred"}).count \
+            == tel.metrics.value("llstar_synpred_invocations_total")
 
     def test_rule_spans_are_opt_in(self, simple):
         quiet = ParseTelemetry()
         simple.parse("x = 1 ;", options=ParserOptions(telemetry=quiet))
-        assert not any(s.name.startswith("rule:")
-                       for s in quiet.events_by_kind("span"))
+        assert quiet.metrics.get("llstar_span_seconds",
+                                 {"kind": "rule"}) is None
         traced = ParseTelemetry(trace_rules=True)
         simple.parse("x = 1 ;", options=ParserOptions(telemetry=traced))
-        assert any(s.name == "rule:s" for s in traced.events_by_kind("span"))
+        assert traced.metrics.get("llstar_span_seconds",
+                                  {"kind": "rule"}).count == 1
         assert traced.metrics.value("llstar_rule_invocations_total") == 1
 
     def test_trace_transcript_is_a_view_of_the_hooks(self, syn):
@@ -330,23 +344,29 @@ class TestParserWiring:
         parser = simple.parser(simple.tokenize("x = ;"),
                                options=ParserOptions(recover=True,
                                                      telemetry=tel))
-        parser.parse()
-        repairs = {e.repair for e in tel.events_by_kind("recovery")}
-        assert "insert" in repairs
+        tree = parser.parse()
         assert tel.metrics.value("llstar_recovery_events_total",
                                  {"kind": "insert"}) == 1
+        # The repair itself is the parser's record: its error, and the
+        # error node holding the token it inserted.
+        assert len(parser.errors) == 1
+        assert [n.is_insertion for n in tree.walk()
+                if isinstance(n, ErrorNode)] == [True]
 
     def test_panic_recovery_counts_skipped_tokens(self, simple):
         tel = ParseTelemetry()
         parser = simple.parser(simple.tokenize("x x x x ;"),
                                options=ParserOptions(recover=True,
                                                      telemetry=tel))
-        parser.parse()
+        tree = parser.parse()
         assert parser.errors
-        total = sum(e.skipped for e in tel.events_by_kind("recovery"))
-        assert total > 0
+        assert tel.metrics.value("llstar_recovery_events_total",
+                                 {"kind": "panic"}) > 0
+        skipped = sum(len(n.tokens) for n in tree.walk()
+                      if isinstance(n, ErrorNode))
+        assert skipped > 0
         assert tel.metrics.value(
-            "llstar_recovery_tokens_skipped_total") == total
+            "llstar_recovery_tokens_skipped_total") == skipped
 
     def test_streaming_peak_window_gauge(self, simple):
         tel = ParseTelemetry()
@@ -360,23 +380,28 @@ class TestParserWiring:
         assert peak >= 1
 
 
+def _cache_ops(tel):
+    """``{op: count}`` of the ``llstar_cache_events_total`` counter."""
+    samples = tel.metrics.to_json().get(
+        "llstar_cache_events_total", {"samples": []})["samples"]
+    return {s["labels"]["op"]: s["value"] for s in samples}
+
+
 class TestCacheWiring:
     def test_cold_then_warm_compile_events(self, tmp_path):
         tel = ParseTelemetry()
         host = repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path),
                                      telemetry=tel)
         assert not host.from_cache
-        ops = [e.operation for e in tel.events_by_kind("cache")]
         # One save: the entry is a single ``.llt`` image.
-        assert ops == ["miss", "save"]
+        assert _cache_ops(tel) == {"miss": 1, "save": 1}
         warm = repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path),
                                      telemetry=tel)
         assert warm.from_cache
-        assert tel.metrics.value("llstar_cache_events_total",
-                                 {"op": "hit"}) == 1
+        assert _cache_ops(tel) == {"miss": 1, "save": 1, "hit": 1}
         # compile spans bracket both compiles
-        assert len([s for s in tel.events_by_kind("span")
-                    if s.name.startswith("compile:")]) == 2
+        assert tel.metrics.get("llstar_span_seconds",
+                               {"kind": "compile"}).count == 2
 
     def test_corrupt_entry_emits_diagnostic_event(self, tmp_path):
         import glob
@@ -390,8 +415,10 @@ class TestCacheWiring:
         host = repro.compile_grammar(SIMPLE, cache_dir=str(tmp_path),
                                      telemetry=tel)
         assert not host.from_cache
-        ops = [e.operation for e in tel.events_by_kind("cache")]
-        assert "corrupt" in ops and "evict" in ops and "save" in ops
+        ops = _cache_ops(tel)
+        assert ops["corrupt"] == ops["evict"] == ops["save"] == 1
+        # What was wrong stays in the store's diagnostics.
+        assert [d.kind for d in host.cache_diagnostics] == ["corrupt"]
 
 
 class TestDegradationWiring:
@@ -403,8 +430,8 @@ class TestDegradationWiring:
         tel = ParseTelemetry()
         host.parse("x = 1 ;", options=ParserOptions(telemetry=tel))
         assert tel.metrics.value("llstar_degradations_total") == 1
-        reasons = {e.reason for e in tel.events_by_kind("dfa-fallback")}
-        assert "degraded" in reasons
+        assert tel.metrics.value("llstar_fallback_reasons_total",
+                                 {"reason": "degraded"}) == 1
 
 
 class TestMetricsRegistryMergeEdgeCases:

@@ -1,15 +1,16 @@
 """The per-parse tally folds to exactly what per-event recording gives.
 
-A parser attached to a ``ParseTelemetry(capture_events=False)`` counts
-its predictions, rules and speculations in a
-:class:`~repro.runtime.telemetry.ParseTally` and folds it in once per
-parse (``record_parse``); one attached to a ``ParseTelemetry()``, which
-captures events, delivers each prediction and speculation as it
-happens.  Over the same inputs both must leave identical per-decision
-stats and identical samples for every metric, span latencies aside
-(those are timings: only their counts must agree).  The inputs include
-mutated sentences, recovery, and a DFA-step budget small enough that
-many parses raise in the middle of a prediction.
+A parser attached to a ``ParseTelemetry`` counts its predictions, rules
+and speculations in a :class:`~repro.runtime.telemetry.ParseTally` and
+folds it in once per parse (``record_parse``); one attached to a
+:class:`~repro.runtime.telemetry.TraceTelemetry`, whose transcript is an
+ordering, delivers each prediction and speculation as it happens.  Both
+sides time rule spans (``trace_rules=True``, as a trace always does).
+Over the same inputs both must leave identical per-decision stats and
+identical samples for every metric, span latencies aside (those are
+timings: only their counts must agree).  The inputs include mutated
+sentences, recovery, and a DFA-step budget small enough that many
+parses raise in the middle of a prediction.
 """
 
 import sys
@@ -22,7 +23,7 @@ from repro.fuzz.generator import SentenceGenerator
 from repro.grammars import PAPER_ORDER, load
 from repro.runtime.budget import ParserBudget
 from repro.runtime.parser import ParserOptions
-from repro.runtime.telemetry import ParseTelemetry
+from repro.runtime.telemetry import ParseTelemetry, TraceTelemetry
 from tests.test_codegen_suite import load_generated
 
 
@@ -68,8 +69,8 @@ def suite_grammar(request):
                          ids=["unbounded", "dfa-steps-60"])
 def test_fold_equals_per_event_recording(suite_grammar, recover, budget):
     host, texts = suite_grammar
-    tallied = ParseTelemetry(capture_events=False)
-    per_event = ParseTelemetry()
+    tallied = ParseTelemetry(trace_rules=True)
+    per_event = TraceTelemetry()
     assert not tallied.per_event and per_event.per_event
     raised = []
     for telemetry in (tallied, per_event):
@@ -86,8 +87,8 @@ def test_generated_parser_fold_equals_per_event_recording():
     host = load("rats_c").compile()
     cls = load_generated(host)
     texts = corpus(host)
-    tallied = ParseTelemetry(capture_events=False)
-    per_event = ParseTelemetry()
+    tallied = ParseTelemetry(trace_rules=True)
+    per_event = TraceTelemetry()
     for telemetry in (tallied, per_event):
         parse_each(lambda text: cls(host.tokenize(text),
                                     telemetry=telemetry).parse(), texts)
@@ -99,9 +100,9 @@ def test_generated_parser_fold_equals_per_event_recording():
 def test_a_parser_that_parses_twice_counts_each_parse_once():
     host = load("sql").compile()
     text = corpus(host)[0]
-    once = ParseTelemetry(capture_events=False)
+    once = ParseTelemetry()
     host.recognize(text, options=ParserOptions(telemetry=once))
-    twice = ParseTelemetry(capture_events=False)
+    twice = ParseTelemetry()
     parser = host.parser(text, options=ParserOptions(telemetry=twice))
     assert parser.recognize()
     parser.stream.seek(0)
@@ -122,9 +123,9 @@ def test_threads_sharing_one_telemetry_give_the_serial_totals():
         parse_each(lambda text: host.parser(text, options=options).parse(),
                    share)
 
-    serial = ParseTelemetry(capture_events=False)
+    serial = ParseTelemetry()
     parse_share(texts, serial)
-    shared = ParseTelemetry(capture_events=False)
+    shared = ParseTelemetry()
     threads = [threading.Thread(target=parse_share, args=(texts[i::4], shared))
                for i in range(4)]
     old_interval = sys.getswitchinterval()
