@@ -20,6 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.analysis.construction import AnalysisOptions, DecisionAnalyzer
 from repro.analysis.diagnostics import AnalysisDiagnostic
+from repro.analysis.sets import GrammarSets
 from repro.atn.builder import build_atn
 from repro.atn.states import ATN
 from repro.grammar.model import Grammar
@@ -122,6 +123,7 @@ class AnalysisResult:
         #: grammar's ``k`` cap that :meth:`GrammarAnalyzer.prepare_atn`
         #: folds in; a degraded decision is rebuilt with exactly these.
         self.options = options
+        self._sets: Optional[GrammarSets] = None
 
     # -- lookups ----------------------------------------------------------------
 
@@ -144,6 +146,15 @@ class AnalysisResult:
                                    options=self.options).create_dfa()
             record.table = compile_decision_table(dfa, self.pool)
         return record.table
+
+    def grammar_sets(self) -> GrammarSets:
+        """FIRST/FOLLOW and per-ATN-state continuation sets, built from
+        the ATN on first use (a parse's first error recovery, or
+        ``llstar sets``) and then shared by every parser of this
+        analysis."""
+        if self._sets is None:
+            self._sets = GrammarSets(self.grammar, self.atn)
+        return self._sets
 
     def table_set(self, lexer=None) -> TableSet:
         """The grammar's complete execution core (see :mod:`repro.tables`)."""

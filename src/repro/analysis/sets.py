@@ -1,202 +1,62 @@
-"""FIRST and FOLLOW sets over the grammar model, plus per-ATN-state
-continuation sets.
+"""FIRST, FOLLOW and per-state continuation sets, read off the ATN.
 
-Classic fixpoint computation, done structurally on the EBNF AST (no
-desugaring needed).  Three consumers:
+Error recovery asks one question: which token types can the parser use
+from a given point of a rule?  Everything here answers it from the ATN
+the parser runs (Section 5.1), so recovery reads nothing else:
 
-* panic-mode error recovery: after an error in rule A, resynchronise by
-  consuming tokens until one in FOLLOW(A) appears (the deterministic-LL
-  error-handling advantage the paper claims over speculating parsers);
-* inline recovery (:class:`~repro.runtime.errors.DefaultErrorStrategy`)
-  and ANTLR-style sync-and-return, which need the set of tokens viable
-  *at a specific ATN state* — :class:`AtnContinuationSets` computes
-  those on demand from the same tables;
-* diagnostics/tooling: the CLI can show FIRST sets per rule.
+* ``continuation(state, rule)`` — the tokens matchable from one ATN
+  state before its rule returns, and whether it can return without
+  consuming anything.  Single-token insertion
+  (:meth:`~repro.runtime.parser.LLStarParser._viable_after`) and
+  panic-mode resync (:meth:`~repro.runtime.parser.LLStarParser._recovery_set`)
+  chain these over the live invocation stack: ANTLR's combined follow
+  set, finer than rule-level FOLLOW because it reflects the actual
+  call chain, not every call site in the grammar;
+* ``first`` / ``follow`` per rule, which ``llstar sets`` prints.
 
-``FIRST`` maps rule -> set of token types (plus ``EPSILON_TYPE`` when
-the rule is nullable); ``FOLLOW`` maps rule -> set of token types (plus
-``EOF`` where the rule can end the input).
+``first`` maps rule -> token types (plus ``EPSILON_TYPE`` when the rule
+is nullable): a least fixpoint over each rule's submachine, so left
+recursion still terminates.  ``follow`` maps rule -> token types (plus
+``EOF`` where the rule can end the input): a fixpoint over the ATN's call
+sites, each adding the continuation after it, and the caller's FOLLOW
+when that continuation can reach the caller's stop state.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Set, Tuple
 
-from repro.grammar import ast
+from repro.atn.states import ATN
+from repro.atn.transitions import AtomTransition, RuleTransition, SetTransition
 from repro.grammar.model import Grammar
 from repro.runtime.token import EOF, EPSILON_TYPE
 
 
 class GrammarSets:
-    """FIRST/FOLLOW tables for one grammar."""
+    """FIRST/FOLLOW per rule and continuation sets per ATN state, for one
+    grammar's ATN.
 
-    def __init__(self, grammar: Grammar):
+    One is built per analysis, on the first error recovery
+    (:meth:`~repro.analysis.decisions.AnalysisResult.grammar_sets`), and
+    shared by every parser of that analysis; clean parses never pay for
+    it.  Continuations are memoized per ATN state.
+    """
+
+    def __init__(self, grammar: Grammar, atn: ATN):
         self.grammar = grammar
+        self.atn = atn
         self.first: Dict[str, Set[int]] = {}
         self.follow: Dict[str, Set[int]] = {}
+        self._cache: Dict[int, Tuple[FrozenSet[int], bool]] = {}
         self._compute_first()
         self._compute_follow()
 
-    # -- FIRST -----------------------------------------------------------------
-
-    def _compute_first(self) -> None:
-        for rule in self.grammar.parser_rules:
-            self.first[rule.name] = set()
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.grammar.parser_rules:
-                acc = set()
-                for alt in rule.alternatives:
-                    acc |= self._first_of_seq(alt.elements)
-                if not acc <= self.first[rule.name]:
-                    self.first[rule.name] |= acc
-                    changed = True
-
-    def first_of(self, element: ast.Element) -> Set[int]:
-        """FIRST set of a single AST element (may include EPSILON_TYPE)."""
-        g = self.grammar
-        if isinstance(element, (ast.Epsilon, ast.Action, ast.SemanticPredicate,
-                                ast.SyntacticPredicate)):
-            return {EPSILON_TYPE}
-        if isinstance(element, (ast.TokenRef, ast.Literal)):
-            return {g.token_type(element)}
-        if isinstance(element, ast.NotToken):
-            excluded = set()
-            for name in element.token_names:
-                if name.startswith("'"):
-                    excluded.add(g.vocabulary.type_of_literal(name[1:-1]))
-                else:
-                    excluded.add(g.vocabulary.type_of(name))
-            return {t for t in range(1, g.vocabulary.max_type + 1)} - excluded
-        if isinstance(element, ast.Wildcard):
-            return set(range(1, g.vocabulary.max_type + 1))
-        if isinstance(element, ast.RuleRef):
-            return set(self.first.get(element.name, set()))
-        if isinstance(element, ast.Sequence):
-            return self._first_of_seq(element.elements)
-        if isinstance(element, ast.Block):
-            out: Set[int] = set()
-            for alt in element.alternatives:
-                out |= self.first_of(alt)
-            return out
-        if isinstance(element, (ast.Optional_, ast.Star)):
-            return self.first_of(element.element) | {EPSILON_TYPE}
-        if isinstance(element, ast.Plus):
-            return self.first_of(element.element)
-        raise TypeError("no FIRST for %r" % element)
-
-    def _first_of_seq(self, elements) -> Set[int]:
-        out: Set[int] = set()
-        for el in elements:
-            f = self.first_of(el)
-            out |= f - {EPSILON_TYPE}
-            if EPSILON_TYPE not in f:
-                return out
-        out.add(EPSILON_TYPE)
-        return out
-
-    def nullable(self, rule_name: str) -> bool:
-        return EPSILON_TYPE in self.first.get(rule_name, set())
-
-    # -- FOLLOW ----------------------------------------------------------------
-
-    def _compute_follow(self) -> None:
-        for rule in self.grammar.parser_rules:
-            self.follow[rule.name] = set()
-        self.follow[self.grammar.start_rule].add(EOF)
-        changed = True
-        while changed:
-            changed = False
-            for rule in self.grammar.parser_rules:
-                for alt in rule.alternatives:
-                    if self._follow_walk(alt.elements, self.follow[rule.name]):
-                        changed = True
-
-    def _follow_walk(self, elements, rule_follow: Set[int]) -> bool:
-        """Propagate FOLLOW through one element sequence.
-
-        For each rule reference r at position i, FOLLOW(r) gains
-        FIRST(rest-of-sequence); if the rest is nullable, it also gains
-        the containing rule's FOLLOW.  Loop bodies additionally feed
-        their own FIRST back into trailing references (x in ``x*`` can
-        be followed by another x).
-        """
-        changed = False
-        for i, el in enumerate(elements):
-            rest = elements[i + 1:]
-            rest_first = self._first_of_seq(rest)
-            after = rest_first - {EPSILON_TYPE}
-            full_after = set(after)
-            if EPSILON_TYPE in rest_first:
-                full_after |= rule_follow
-            changed |= self._feed_follow(el, full_after)
-        return changed
-
-    def _feed_follow(self, el: ast.Element, after: Set[int]) -> bool:
-        changed = False
-        if isinstance(el, ast.RuleRef):
-            if el.name in self.follow and not after <= self.follow[el.name]:
-                self.follow[el.name] |= after
-                changed = True
-        elif isinstance(el, ast.Sequence):
-            changed |= self._follow_walk(el.elements, after)
-        elif isinstance(el, ast.Block):
-            for alt in el.alternatives:
-                changed |= self._feed_follow(alt, after)
-        elif isinstance(el, ast.Optional_):
-            changed |= self._feed_follow(el.element, after)
-        elif isinstance(el, (ast.Star, ast.Plus)):
-            body_first = self.first_of(el.element) - {EPSILON_TYPE}
-            changed |= self._feed_follow(el.element, after | body_first)
-        return changed
-
-    # -- convenience --------------------------------------------------------------
-
-    def describe(self, rule_name: str) -> str:
-        v = self.grammar.vocabulary
-        firsts = sorted(v.name_of(t) for t in self.first.get(rule_name, ())
-                        if t != EPSILON_TYPE)
-        follows = sorted(v.name_of(t) for t in self.follow.get(rule_name, ()))
-        return "FIRST(%s) = {%s}%s\nFOLLOW(%s) = {%s}" % (
-            rule_name, ", ".join(firsts),
-            " (nullable)" if self.nullable(rule_name) else "",
-            rule_name, ", ".join(follows))
-
-
-class AtnContinuationSets:
-    """Token sets viable *from a specific ATN state*, for error recovery.
-
-    Rule-level FOLLOW is too coarse for ANTLR-style recovery: after a
-    mismatch the parser wants to know what can come next *here* — at
-    this exact point inside this rule's submachine — not merely what may
-    ever follow the rule.  ``continuation(state, rule)`` answers that:
-    the FIRST set of every token sequence matchable from ``state`` to
-    the rule's stop state, plus whether the stop state is reachable
-    without consuming anything (in which case the caller's own
-    continuation applies on top).
-
-    Results are memoized per ATN state id; the whole structure is built
-    lazily by the parser on the first error, so clean parses never pay
-    for it.
-    """
-
-    def __init__(self, atn, sets: GrammarSets):
-        self.atn = atn
-        self.sets = sets
-        self._cache: Dict[int, Tuple[FrozenSet[int], bool]] = {}
-
-    def continuation(self, state, rule_name: str) -> Tuple[FrozenSet[int], bool]:
-        """``(tokens, reaches_end)`` matchable from ``state`` within
-        ``rule_name``'s submachine."""
-        cached = self._cache.get(state.id)
-        if cached is not None:
-            return cached
-        from repro.atn.transitions import (
-            AtomTransition, RuleTransition, SetTransition,
-        )
-
-        stop = self.atn.rule_stop[rule_name]
+    def _walk(self, state, stop) -> Tuple[Set[int], bool]:
+        """``(tokens, reaches_end)`` from ``state`` to ``stop`` under the
+        current ``first``: the tokens matchable first, and whether
+        ``stop`` is reachable consuming nothing.  Rule calls contribute
+        the callee's FIRST and are passed over when it is nullable;
+        epsilon, predicate and action edges are free moves."""
         tokens: Set[int] = set()
         reaches_end = False
         seen: Set[int] = set()
@@ -215,13 +75,72 @@ class AtnContinuationSets:
                 elif isinstance(t, SetTransition):
                     tokens.update(t.token_set)
                 elif isinstance(t, RuleTransition):
-                    first = self.sets.first.get(t.rule_name, set())
-                    tokens.update(first - {EPSILON_TYPE})
+                    first = self.first[t.rule_name]
+                    tokens |= first
                     if EPSILON_TYPE in first:
                         work.append(t.follow_state)
-                else:  # epsilon, predicate, action: free moves
+                else:
                     work.append(t.target)
-        result = (frozenset(tokens), reaches_end)
-        self._cache[state.id] = result
-        return result
+        tokens.discard(EPSILON_TYPE)
+        return tokens, reaches_end
 
+    def _compute_first(self) -> None:
+        starts = self.atn.rule_start
+        for name in starts:
+            self.first[name] = set()
+        changed = True
+        while changed:
+            changed = False
+            for name, start in starts.items():
+                tokens, nullable = self._walk(start, start.stop_state)
+                if nullable:
+                    tokens.add(EPSILON_TYPE)
+                if not tokens <= self.first[name]:
+                    self.first[name] |= tokens
+                    changed = True
+
+    def _compute_follow(self) -> None:
+        for name in self.first:
+            self.follow[name] = set()
+        self.follow[self.grammar.start_rule].add(EOF)
+        # Walked uncached: the per-state cache fills only with the
+        # states a recovery actually asks about.
+        sites = []
+        for callee, calls in self.atn.call_sites.items():
+            for t in calls:
+                caller = t.follow_state.rule_name
+                tokens, reaches_end = self._walk(t.follow_state,
+                                                 self.atn.rule_stop[caller])
+                sites.append((self.follow[callee], self.follow[caller],
+                              tokens, reaches_end))
+        changed = True
+        while changed:
+            changed = False
+            for follow, caller_follow, tokens, reaches_end in sites:
+                after = tokens | caller_follow if reaches_end else tokens
+                if not after <= follow:
+                    follow |= after
+                    changed = True
+
+    def continuation(self, state, rule_name: str) -> Tuple[FrozenSet[int], bool]:
+        """``(tokens, reaches_end)`` matchable from ``state`` within
+        ``rule_name``'s submachine; when ``reaches_end``, what follows
+        the rule's caller applies on top."""
+        cached = self._cache.get(state.id)
+        if cached is None:
+            tokens, reaches_end = self._walk(state, self.atn.rule_stop[rule_name])
+            cached = self._cache[state.id] = (frozenset(tokens), reaches_end)
+        return cached
+
+    def nullable(self, rule_name: str) -> bool:
+        return EPSILON_TYPE in self.first.get(rule_name, ())
+
+    def describe(self, rule_name: str) -> str:
+        v = self.grammar.vocabulary
+        firsts = sorted(v.name_of(t) for t in self.first.get(rule_name, ())
+                        if t != EPSILON_TYPE)
+        follows = sorted(v.name_of(t) for t in self.follow.get(rule_name, ()))
+        return "FIRST(%s) = {%s}%s\nFOLLOW(%s) = {%s}" % (
+            rule_name, ", ".join(firsts),
+            " (nullable)" if self.nullable(rule_name) else "",
+            rule_name, ", ".join(follows))

@@ -12,11 +12,6 @@ from repro.runtime.token_stream import TokenStream, ListTokenStream
 from repro.runtime.trees import ErrorNode, ParseTree, RuleNode, TokenNode, TreeVisitor
 from repro.runtime.budget import ParserBudget
 from repro.runtime.chaos import ChaosCharStream, ChaosTokenStream, CorruptionEvent
-from repro.runtime.errors import (
-    BailErrorStrategy,
-    DefaultErrorStrategy,
-    ErrorStrategy,
-)
 from repro.runtime.profiler import DecisionProfiler, DecisionStats, ProfileReport
 from repro.runtime.streaming import StreamingTokenStream
 from repro.runtime.telemetry import (
@@ -56,9 +51,6 @@ __all__ = [
     "LLStarParser",
     "ParserOptions",
     "ParserBudget",
-    "ErrorStrategy",
-    "BailErrorStrategy",
-    "DefaultErrorStrategy",
     "ChaosTokenStream",
     "ChaosCharStream",
     "CorruptionEvent",

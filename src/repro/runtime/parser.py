@@ -10,8 +10,16 @@ table.  This module supplies the interpreter's side of that contract:
 tables come from the analysis records (a degraded decision is rebuilt
 on the fly), synpred fragments run through :meth:`LLStarParser._run_rule`,
 and predicate code is ``eval``-ed against the action environment.
-Error recovery reads the ATN transitions the ops keep: continuation sets
-are keyed by ATN states.
+
+Error recovery is the parser's own, and reads only the ATN: the ops keep
+their ATN transitions, and the continuation sets
+(:class:`~repro.analysis.sets.GrammarSets`) are keyed by ATN states.  A
+parse without ``recover`` raises at the first mismatch and computes no
+set.  With it, a mismatched MATCH is repaired inline (single-token
+deletion, then insertion); any other error is reported and resynced in
+panic mode, and reports are cascade-aware (ANTLR's
+``beginErrorCondition``/``reportMatch`` protocol).  Every repair is
+recorded as an :class:`~repro.runtime.trees.ErrorNode` in the tree.
 
 Speculation machinery (Section 4):
 
@@ -28,7 +36,7 @@ Speculation machinery (Section 4):
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.atn.program import (
     CALL,
@@ -48,11 +56,12 @@ from repro.exceptions import (
     RecognitionError,
 )
 from repro.runtime.budget import ParserBudget
-from repro.runtime.errors import BailErrorStrategy, DefaultErrorStrategy
 from repro.runtime.predict import _MEMO_FAILED, Predictor
-from repro.runtime.token import EOF
+from repro.runtime.token import EOF, Token
 from repro.runtime.token_stream import TokenStream
 from repro.runtime.trees import ErrorNode, RuleNode, TreeBuilder
+
+_EOF_ONLY: FrozenSet[int] = frozenset([EOF])
 
 
 class ParserOptions:
@@ -129,10 +138,6 @@ class LLStarParser(Predictor):
         self._build_tree = options.build_tree
         self._memoize = options.memoize
         self._recover_errors = options.recover
-        # A recovering parse repairs inline (deletion + insertion); a
-        # bailing parse fails fast.
-        self._error_strategy = (DefaultErrorStrategy() if options.recover
-                                else BailErrorStrategy())
         self.errors: List[RecognitionError] = []
         self._last_recovery_index = -1
         # While True, subsequent errors are cascades of one mistake and
@@ -190,31 +195,23 @@ class LLStarParser(Predictor):
             self._deadline = budget.deadline_from_now()
         node = self._run_rule(program, ())
         if require_eof and self.stream.la(1) != EOF:
-            token = self.stream.lt(1)
-            error = MismatchedTokenError("EOF", token, self.stream.index,
-                                         rule_name=rule_name)
-            if self._recover_errors:
-                reported = self._error_strategy.report(self, error)
-                skipped = []
-                while self.stream.la(1) != EOF:
-                    # A hostile tail (e.g. an unbounded stream of junk)
-                    # must not dodge the budget deadline by hiding in
-                    # this drain loop.
-                    self._check_deadline()
-                    skipped.append(self.stream.consume())
-                if self._telemetry is not None:
-                    self._telemetry.record_recovery("eof-drain", len(skipped))
-                if node is not None and (reported or skipped):
-                    # The root is already closed; extend its span over
-                    # the drained tail so it still covers the whole tree.
-                    err = ErrorNode(error=error if reported else None,
-                                    tokens=skipped, at=self.stream.index)
-                    node.add(err)
-                    node.look_stop = -1  # repaired: not reusable
-                    if err.stop > node.stop:
-                        node.stop = err.stop
-            else:
+            error = MismatchedTokenError("EOF", self.stream.lt(1),
+                                         self.stream.index, rule_name=rule_name)
+            if not self._recover_errors:
                 raise error
+            reported = self._report(error)
+            skipped = self._resync(_EOF_ONLY)
+            if self._telemetry is not None:
+                self._telemetry.record_recovery("eof-drain", len(skipped))
+            if node is not None and (reported or skipped):
+                # The root is already closed; extend its span over the
+                # drained tail so it still covers the whole tree.
+                err = ErrorNode(error=error if reported else None,
+                                tokens=skipped, at=self.stream.index)
+                node.add(err)
+                node.look_stop = -1  # repaired: not reusable
+                if err.stop > node.stop:
+                    node.stop = err.stop
         return node
 
     def recognize(self, rule_name: Optional[str] = None, require_eof: bool = True) -> bool:
@@ -426,7 +423,7 @@ class LLStarParser(Predictor):
 
     def _match(self, transition, expected_type: Optional[int], rule_name: str):
         """Consume the current token if ``transition`` matches it, else
-        fail or repair.  MATCH ops pass their token type as
+        repair or fail.  MATCH ops pass their token type as
         ``expected_type`` (inline repair needs one); MATCH_SET ops pass
         None."""
         token = self.stream.lt(1)
@@ -438,17 +435,56 @@ class LLStarParser(Predictor):
             else:
                 self._error_recovery_mode = False
             return token
-        if self._speculating:
-            expected = (self.vocabulary.name_of(expected_type)
-                        if expected_type is not None else repr(transition))
-            raise MismatchedTokenError(expected, token, self.stream.index,
-                                       rule_name=rule_name)
-        if expected_type is not None:
-            following = self._viable_after(transition.target, rule_name)
-            return self._error_strategy.recover_inline(
-                self, expected_type, rule_name, following)
-        raise MismatchedTokenError(repr(transition), token, self.stream.index,
-                                   rule_name=rule_name)
+        if expected_type is None:
+            raise MismatchedTokenError(repr(transition), token,
+                                       self.stream.index, rule_name=rule_name)
+        error = MismatchedTokenError(self.vocabulary.name_of(expected_type),
+                                     token, self.stream.index,
+                                     rule_name=rule_name)
+        if self._recover_errors and not self._speculating:
+            repaired = self._repair_inline(error, transition.target,
+                                           expected_type)
+            if repaired is not None:
+                return repaired
+        raise error
+
+    def _repair_inline(self, error: MismatchedTokenError, state,
+                       expected_type: int) -> Optional[Token]:
+        """ANTLR's single-token repairs of a mismatched MATCH, returning
+        the token the op then matches, or None when neither applies (the
+        caller raises ``error`` for panic mode).
+
+        Deletion wins when the token *after* the offender is the
+        expected one: the offender is extraneous, and is dropped.
+        Otherwise, when the offender is viable right after the expected
+        token at ``state`` (the expected token is missing), a token of
+        the expected type is synthesized — text ``<missing X>``, stream
+        index -1, positioned at the offender — and returned without
+        consuming anything, so the parse continues as if it had been
+        present.  Cascade suppression stays on after a deletion: the
+        token it matches does not count as a real match (ANTLR 3's
+        ``recoverFromMismatchedToken``)."""
+        stream = self.stream
+        token = error.token
+        if stream.la(2) == expected_type:
+            self._report(error)
+            deleted = stream.consume()
+            self._attach_error_node(ErrorNode(error=error, tokens=[deleted]))
+            if self._telemetry is not None:
+                self._telemetry.record_recovery("delete", 1)
+            return stream.consume()
+        if (expected_type != EOF
+                and token.type in self._viable_after(state, error.rule_name)):
+            self._report(error)
+            missing = Token(expected_type, "<missing %s>" % error.expecting,
+                            line=token.line, column=token.column)
+            # The insertion consumed nothing: empty span at the repair point.
+            self._attach_error_node(
+                ErrorNode(error=error, inserted=missing, at=stream.index))
+            if self._telemetry is not None:
+                self._telemetry.record_recovery("insert")
+            return missing
+        return None
 
     def _recover(self, error: RecognitionError) -> None:
         """Panic-mode sync-and-return (ANTLR's ``recover``): report, then
@@ -471,15 +507,8 @@ class LLStarParser(Predictor):
                 raise BudgetExceededError(
                     "recovery attempts", budget.max_recovery_attempts,
                     spent=attempts, token=self.stream.lt(1), index=at)
-        reported = self._error_strategy.report(self, error)
-        resync = self._recovery_set()
-        skipped = []
-        while self.stream.la(1) not in resync and self.stream.la(1) != EOF:
-            # Resync can skip arbitrarily far on corrupted input (or
-            # forever on an unbounded stream); keep the deadline honest
-            # inside the loop, not just at rule boundaries.
-            self._check_deadline()
-            skipped.append(self.stream.consume())
+        reported = self._report(error)
+        skipped = self._resync(self._recovery_set())
         if (self.stream.index == self._last_recovery_index
                 and self.stream.la(1) != EOF):
             # No progress since the previous recovery at this position:
@@ -495,24 +524,34 @@ class LLStarParser(Predictor):
 
     # -- recovery support -------------------------------------------------------
 
-    def _continuations(self):
-        """Per-ATN-state continuation sets, built lazily on the first
-        error and shared by every parser over the same analysis (clean
-        parses never pay for them)."""
-        cont = getattr(self.analysis, "_continuations", None)
-        if cont is None:
-            from repro.analysis.sets import AtnContinuationSets, GrammarSets
+    def _report(self, error: RecognitionError) -> bool:
+        """Record ``error`` unless the parse is already recovering from an
+        earlier one at this trouble spot (cascade suppression; a token
+        that matches for real ends it).  Returns True when recorded."""
+        if self._error_recovery_mode:
+            return False
+        self.errors.append(error)
+        self._error_recovery_mode = True
+        return True
 
-            cont = AtnContinuationSets(self.atn, GrammarSets(self.grammar))
-            self.analysis._continuations = cont
-        return cont
+    def _resync(self, resync) -> List[Token]:
+        """Consume tokens until one in ``resync`` (which holds EOF), and
+        return them.  Resync can skip arbitrarily far on corrupted input
+        (or forever on an unbounded stream), so the deadline is checked
+        per skipped token, not just at rule boundaries."""
+        stream = self.stream
+        skipped = []
+        while stream.la(1) not in resync:
+            self._check_deadline()
+            skipped.append(stream.consume())
+        return skipped
 
-    def _viable_after(self, state, rule_name: str) -> FrozenSet[int]:
+    def _viable_after(self, state, rule_name: str) -> Set[int]:
         """Token types legal immediately after the expected token at
         ``state``, given the live invocation stack; drives single-token
         insertion (is the offending token usable once the missing one is
         synthesized?)."""
-        cont = self._continuations()
+        cont = self.analysis.grammar_sets()
         tokens, reaches_end = cont.continuation(state, rule_name)
         viable = set(tokens)
         if reaches_end:
@@ -523,19 +562,19 @@ class LLStarParser(Predictor):
                     break
             else:
                 viable.add(EOF)
-        return frozenset(viable)
+        return viable
 
-    def _recovery_set(self) -> FrozenSet[int]:
+    def _recovery_set(self) -> Set[int]:
         """ANTLR's combined follow set: union, over every invocation on
         the stack, of what that caller can match once its pending rule
         call returns — plus EOF so recovery can always park at end of
         input."""
-        cont = self._continuations()
+        cont = self.analysis.grammar_sets()
         resync = {EOF}
         for follow_state, caller in self._follow_stack:
             tokens, _ = cont.continuation(follow_state, caller)
             resync |= tokens
-        return frozenset(resync)
+        return resync
 
     def _attach_error_node(self, node: ErrorNode) -> None:
         """Record a repair in the current rule's tree node (no-op when

@@ -24,11 +24,10 @@ Every node carries exact source provenance:
   root.  ``text`` (the whitespace-lossy space-joined token text) is kept
   for compatibility.
 
-Error recovery (``ParserOptions(recover=True)`` or an inline
-:class:`~repro.runtime.errors.DefaultErrorStrategy`) additionally
-records every repair as an :class:`ErrorNode` — which tokens were
-skipped or deleted, and which token was synthesized — so downstream
-consumers can see exactly where the tree deviates from the input.
+Error recovery (``ParserOptions(recover=True)``) additionally records
+every repair as an :class:`ErrorNode` — which tokens were skipped or
+deleted, and which token was synthesized — so downstream consumers can
+see exactly where the tree deviates from the input.
 
 All tree construction goes through :class:`TreeBuilder`; producers must
 honor its contract (see DESIGN.md "Tree core & transformation layer")
@@ -394,8 +393,8 @@ class TreeBuilder:
         return node
 
     def attach(self, node: ParseTree) -> bool:
-        """Attach a prebuilt node (error strategies construct their own
-        ErrorNodes) to the innermost open rule.  Returns False — and
+        """Attach a prebuilt node (the parser's repairs construct their
+        own ErrorNodes) to the innermost open rule.  Returns False — and
         leaves the node detached — when nothing is open (tree building
         off, or speculation)."""
         if not self._stack:

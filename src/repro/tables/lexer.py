@@ -132,7 +132,8 @@ class LexerTable:
     @classmethod
     def from_dict(cls, data: dict, validate: bool = True) -> "LexerTable":
         """Rebuild from the stored form; ``validate=False`` (checksummed
-        ``.llt`` images only) skips the structural sweep, mirroring
+        ``.llt`` images only) skips the structural sweep but keeps the
+        shape checks, mirroring
         :meth:`~repro.tables.lookahead.DecisionTable.from_dict`."""
         table = cls(
             data["start"], data["n_states"],
@@ -143,21 +144,32 @@ class LexerTable:
                   for p, name, commands in data["accepts"]))
         if validate:
             table.validate()
+        else:
+            table._check_shape()
         return table
 
-    def validate(self) -> None:
+    def _check_shape(self) -> None:
+        """The checks that read no array element (see
+        :meth:`~repro.tables.lookahead.DecisionTable._check_shape`)."""
         n = self.n_states
         if len(self.accept_idx) != n:
             raise ArtifactFormatError("accept_idx length %d != %d states"
                                       % (len(self.accept_idx), n))
-        if (len(self.edge_index) != n + 1 or self.edge_index[0] != 0
-                or self.edge_index[-1] != len(self.edge_lo)):
+        if len(self.edge_index) != n + 1:
             raise ArtifactFormatError("bad edge_index row pointers")
-        if any(self.edge_index[i] > self.edge_index[i + 1] for i in range(n)):
-            raise ArtifactFormatError("non-monotone edge_index")
         if (len(self.edge_hi) != len(self.edge_lo)
                 or len(self.edge_targets) != len(self.edge_lo)):
             raise ArtifactFormatError("edge arrays disagree in length")
+        if not (0 <= self.start < n) and n:
+            raise ArtifactFormatError("start state out of range")
+
+    def validate(self) -> None:
+        self._check_shape()
+        n = self.n_states
+        if self.edge_index[0] != 0 or self.edge_index[-1] != len(self.edge_lo):
+            raise ArtifactFormatError("bad edge_index row pointers")
+        if any(self.edge_index[i] > self.edge_index[i + 1] for i in range(n)):
+            raise ArtifactFormatError("non-monotone edge_index")
         for s in range(n):
             row_lo = self.edge_lo[self.edge_index[s]:self.edge_index[s + 1]]
             row_hi = self.edge_hi[self.edge_index[s]:self.edge_index[s + 1]]
@@ -172,8 +184,6 @@ class LexerTable:
         if any(a != -1 and not (0 <= a < len(self.accepts))
                for a in self.accept_idx):
             raise ArtifactFormatError("accept index out of range")
-        if not (0 <= self.start < n) and n:
-            raise ArtifactFormatError("start state out of range")
 
     def __repr__(self):
         return "LexerTable(%d states, %d ranges)" % (

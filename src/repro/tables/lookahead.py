@@ -245,7 +245,8 @@ class DecisionTable:
         """Rebuild from the stored form.  ``validate=False`` skips the
         O(states + edges) structural sweep — for sources with their own
         integrity check only (the checksummed ``.llt`` image, whose CRC
-        detects accidental damage)."""
+        detects accidental damage) — but keeps the shape checks, which
+        read no array element, so a warm boot touches no table page."""
         table = cls(
             data["decision"], data["rule"], data["n_alts"], data["start"],
             data["n_states"],
@@ -260,27 +261,42 @@ class DecisionTable:
             data["gave_up_reason"], pool)
         if validate:
             table.validate()
+        else:
+            table._check_shape()
         return table
 
-    def validate(self) -> None:
-        """Structural integrity; raises
-        :class:`~repro.exceptions.ArtifactFormatError` (a ``ValueError``
-        subclass) on a damaged table."""
+    def _check_shape(self) -> None:
+        """The checks that read no array element: each per-state array
+        has ``n_states`` entries (row pointers one more), parallel arrays
+        agree in length, and the start state is in range."""
         n = self.n_states
         if len(self.accept_alt) != n:
             raise ArtifactFormatError("accept_alt length %d != %d states"
                                       % (len(self.accept_alt), n))
-        for name, index, keys in (("edge", self.edge_index, self.edge_keys),
-                                  ("pred", self.pred_index, self.pred_ctx)):
-            if len(index) != n + 1 or index[0] != 0 or index[-1] != len(keys):
+        for name, index in (("edge", self.edge_index),
+                            ("pred", self.pred_index)):
+            if len(index) != n + 1:
                 raise ArtifactFormatError("bad %s_index row pointers" % name)
-            if any(index[i] > index[i + 1] for i in range(n)):
-                raise ArtifactFormatError("non-monotone %s_index" % name)
         if len(self.edge_targets) != len(self.edge_keys):
             raise ArtifactFormatError("edge arrays disagree in length")
         if (len(self.pred_alt) != len(self.pred_ctx)
                 or len(self.pred_target) != len(self.pred_ctx)):
             raise ArtifactFormatError("predicate arrays disagree in length")
+        if not (-1 <= self.start < n):
+            raise ArtifactFormatError("start state out of range")
+
+    def validate(self) -> None:
+        """Structural integrity; raises
+        :class:`~repro.exceptions.ArtifactFormatError` (a ``ValueError``
+        subclass) on a damaged table."""
+        self._check_shape()
+        n = self.n_states
+        for name, index, keys in (("edge", self.edge_index, self.edge_keys),
+                                  ("pred", self.pred_index, self.pred_ctx)):
+            if index[0] != 0 or index[-1] != len(keys):
+                raise ArtifactFormatError("bad %s_index row pointers" % name)
+            if any(index[i] > index[i + 1] for i in range(n)):
+                raise ArtifactFormatError("non-monotone %s_index" % name)
         for s in range(n):
             row = self.edge_keys[self.edge_index[s]:self.edge_index[s + 1]]
             if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
@@ -291,8 +307,6 @@ class DecisionTable:
             raise ArtifactFormatError("predicate target out of range")
         if any(c != -1 and not (0 <= c < len(self.pool)) for c in self.pred_ctx):
             raise ArtifactFormatError("context index out of pool range")
-        if not (self.start == -1 or 0 <= self.start < n):
-            raise ArtifactFormatError("start state out of range")
 
     def __repr__(self):
         return "DecisionTable(decision %d in %s: %d states, %d edges)" % (

@@ -425,10 +425,8 @@ def cmd_profile(args) -> int:
 
 
 def cmd_sets(args) -> int:
-    from repro.analysis.sets import GrammarSets
-
     host = _load_host(args)
-    sets = GrammarSets(host.grammar)
+    sets = host.analysis.grammar_sets()
     rules = ([args.rule] if args.rule
              else [r.name for r in host.grammar.parser_rules
                    if not r.name.startswith("synpred")])

@@ -1,6 +1,5 @@
-"""Small shared utilities (interval sets, ordered sets, DOT escaping)."""
+"""Small shared utilities: integer interval sets."""
 
 from repro.util.intervals import IntervalSet
-from repro.util.orderedset import OrderedSet
 
-__all__ = ["IntervalSet", "OrderedSet"]
+__all__ = ["IntervalSet"]

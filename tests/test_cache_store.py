@@ -383,6 +383,76 @@ class TestDegradedClassification:
         assert "  cyclic:      1 (33.3%)" in warm
 
 
+class TestShapeCheckedImage:
+    """A checksummed image is loaded without the full table sweep, but a
+    table whose arrays have the wrong shape must still not boot as a
+    healthy host (every parse would raise an untyped ``IndexError``).
+    The unvalidated path checks array lengths and the start state, which
+    reads no array element: a damaged decision table degrades its
+    record, and a damaged lexer table makes the entry ``corrupt``."""
+
+    FIG1_INPUTS = ("x", "x = 1", "unsigned int x", "unsigned unsigned x y")
+
+    def _seed(self, tmp_path, damage, name=None):
+        cold = repro.compile_grammar(FIG1_GRAMMAR, name=name)
+        payload = artifact_to_dict(cold.grammar, cold.analysis,
+                                   cold.lexer_spec,
+                                   grammar_fingerprint(FIG1_GRAMMAR, name))
+        damage(payload)
+        assert ArtifactStore(str(tmp_path)).save(
+            artifact_key(FIG1_GRAMMAR, name, None), payload, FIG1_GRAMMAR)
+        return cold
+
+    @staticmethod
+    def _short_decision_rows(payload):
+        payload["analysis"]["records"][0]["table"]["edge_index"] = [0]
+
+    def test_short_decision_row_pointers_degrade_the_record(self, tmp_path):
+        cold = self._seed(tmp_path, self._short_decision_rows)
+        with pytest.warns(UserWarning, match="partially corrupt"):
+            warm = repro.compile_grammar(FIG1_GRAMMAR, cache_dir=str(tmp_path))
+        assert warm.from_cache
+        assert warm.degraded_decisions == [0]
+        assert any(d.kind == "degraded" for d in warm.analysis.diagnostics)
+        for text in self.FIG1_INPUTS:
+            assert (warm.parse(text).to_spanned_sexpr()
+                    == cold.parse(text).to_spanned_sexpr())
+
+    def test_short_lexer_row_pointers_make_the_entry_corrupt(self, tmp_path):
+        cold = self._seed(
+            tmp_path, lambda payload: payload["lexer"].update(edge_index=[0]))
+        warm = repro.compile_grammar(FIG1_GRAMMAR, cache_dir=str(tmp_path))
+        assert not warm.from_cache
+        assert [d.kind for d in warm.cache_diagnostics] == [
+            CacheDiagnostic.CORRUPT]
+        for text in self.FIG1_INPUTS:
+            assert (warm.parse(text).to_spanned_sexpr()
+                    == cold.parse(text).to_spanned_sexpr())
+
+    def test_serve_answers_a_damaged_image_with_200(self, tmp_path):
+        import asyncio
+        import warnings
+
+        from repro.serve import ParseService, ServiceConfig
+
+        self._seed(tmp_path, self._short_decision_rows, name="fig1")
+        svc = ParseService(config=ServiceConfig(
+            jobs=0, cache_dir=str(tmp_path), default_deadline=5.0))
+        svc.registry.register("fig1", FIG1_GRAMMAR)
+        body = json.dumps({"grammar": "fig1", "text": "unsigned int x",
+                           "tree": True}).encode()
+        try:
+            with warnings.catch_warnings():
+                # The warm boot warns from the registry's compile thread.
+                warnings.simplefilter("ignore")
+                response = asyncio.run(svc.handle("POST", "/parse", body))
+        finally:
+            svc.close()
+        assert response.status == 200
+        doc = json.loads(response.body_bytes())
+        assert doc["ok"] and "unsigned" in doc["tree"]
+
+
 K1_GRAMMAR = """
     grammar KOne;
     options { k=1; }

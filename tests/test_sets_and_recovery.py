@@ -4,6 +4,7 @@ import pytest
 
 import repro
 from repro.analysis.sets import GrammarSets
+from repro.atn import build_atn
 from repro.grammar.meta_parser import parse_grammar
 from repro.runtime.parser import ParserOptions
 from repro.runtime.token import EOF, EPSILON_TYPE
@@ -11,7 +12,7 @@ from repro.runtime.token import EOF, EPSILON_TYPE
 
 def sets_for(text):
     g = parse_grammar(text)
-    return g, GrammarSets(g)
+    return g, GrammarSets(g, build_atn(g))
 
 
 def names(g, tokens):
